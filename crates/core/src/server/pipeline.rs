@@ -155,7 +155,9 @@ impl CommitPipeline {
 
     /// Acquires exclusive hold of one apply lane. Never acquire two lanes
     /// from one thread — the pipeline's internal paths take one lane at a
-    /// time precisely so lane order cannot deadlock.
+    /// time precisely so lane order cannot deadlock — and never call into
+    /// the engine while holding one: engine groups take their own lock
+    /// first, then lanes.
     pub fn acquire(&self, lane: usize) -> LaneGuard<'_> {
         LaneGuard {
             _held: self.lanes[lane].lock().expect("apply lane poisoned"),
@@ -188,8 +190,11 @@ impl CommitPipeline {
     /// slice is applied under that lane's mutex in the batch's ascending
     /// `(ct, tx)` order, and lanes holding disjoint shard sets proceed in
     /// parallel across threads. Exactly one lane is held at a time, so
-    /// concurrent callers cannot deadlock. Returns the number of versions
-    /// newly inserted (re-deliveries are idempotent).
+    /// concurrent callers cannot deadlock. The whole frame is one
+    /// [`Engine::apply_batch`] group, so a durable engine has logged (and
+    /// under `FsyncPolicy::Always` fsynced) it once, with no lane held,
+    /// by the time this returns. Returns the number of versions newly
+    /// inserted (re-deliveries are idempotent).
     ///
     /// Callers fanning batches across threads must route all batches of
     /// one source server through the same thread (per-src FIFO); see the
@@ -202,19 +207,21 @@ impl CommitPipeline {
                 by_lane[self.lane_of(w.key)].push((w, t));
             }
         }
-        let mut inserted = 0u64;
-        for (lane, writes) in by_lane.iter().enumerate() {
-            if writes.is_empty() {
-                continue;
-            }
-            let guard = self.acquire(lane);
-            for &(w, t) in writes {
-                if self.store.apply(w.key, w.value.clone(), t.ct, t.tx, t.src) {
-                    inserted += 1;
+        // One engine group per frame: a durable engine logs the frame's
+        // new versions with one write and at most one fsync, after every
+        // lane below is released and before this returns.
+        let inserted = self.store.apply_batch(&mut |apply| {
+            for (lane, writes) in by_lane.iter().enumerate() {
+                if writes.is_empty() {
+                    continue;
                 }
+                let guard = self.acquire(lane);
+                for &(w, t) in writes {
+                    apply(w.key, w.value.clone(), t.ct, t.tx, t.src);
+                }
+                drop(guard);
             }
-            drop(guard);
-        }
+        });
         self.stats.lane_batches.fetch_add(1, Ordering::Relaxed);
         self.stats
             .lane_applies

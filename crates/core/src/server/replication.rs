@@ -52,9 +52,6 @@ impl Server {
         for key in ready {
             let (ct, tx) = key;
             let entry = self.committed.remove(&key).expect("collected above");
-            for w in &entry.writes {
-                self.store.apply(w.key, w.value.clone(), ct, tx, entry.src);
-            }
             self.stats.applied_local += 1;
             if let Some(log) = self.events.as_mut() {
                 log.applies.push((tx, ct, now));
@@ -64,6 +61,18 @@ impl Server {
                 ct,
                 src: entry.src,
                 writes: entry.writes,
+            });
+        }
+        if !batch.is_empty() {
+            // The tick is one engine group: a durable engine logs it with
+            // one write (and under `FsyncPolicy::Always` one fsync) before
+            // the watermark below publishes it and before it is shipped.
+            self.store.apply_batch(&mut |apply| {
+                for t in &batch {
+                    for w in &t.writes {
+                        apply(w.key, w.value.clone(), t.ct, t.tx, t.src);
+                    }
+                }
             });
         }
 

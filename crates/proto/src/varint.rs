@@ -6,7 +6,7 @@
 //! or with set bits beyond the 64th is rejected rather than wrapped, so
 //! every encoded value has exactly one accepted representation length.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::wire::DecodeError;
 
@@ -23,7 +23,7 @@ pub const fn len(v: u64) -> usize {
 }
 
 /// Appends `v` as a LEB128 varint.
-pub fn put(buf: &mut BytesMut, mut v: u64) {
+pub fn put(buf: &mut impl BufMut, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -76,6 +76,7 @@ pub fn get_u32(buf: &mut Bytes) -> Result<u32, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use proptest::prelude::*;
 
     fn roundtrip(v: u64) -> u64 {

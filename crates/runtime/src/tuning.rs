@@ -301,7 +301,10 @@ impl Durability {
 
     /// When the WAL is flushed to stable media: [`FsyncPolicy::Never`]
     /// (crash-safe against process death, the default) or
-    /// [`FsyncPolicy::Always`] (also power-loss safe, much slower).
+    /// [`FsyncPolicy::Always`] (also power-loss safe: one fsync per apply
+    /// group — an origin apply tick or an inbound replication frame —
+    /// before the watermark covering it is published or it is
+    /// replicated).
     #[must_use]
     pub fn fsync(mut self, fsync: FsyncPolicy) -> Self {
         self.fsync = fsync;

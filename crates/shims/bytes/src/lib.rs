@@ -117,6 +117,12 @@ impl BufMut for BytesMut {
     }
 }
 
+impl BufMut for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
         &self.data

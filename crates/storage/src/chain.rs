@@ -39,11 +39,18 @@ impl VersionChain {
     /// Returns `true` if the version was inserted, `false` if an identical
     /// version (same total-order key) was already present.
     pub fn insert(&mut self, version: Version) -> bool {
+        self.insert_with(version, |_| ())
+    }
+
+    /// [`VersionChain::insert`], calling `on_new` with the version just
+    /// before it is inserted (never for a duplicate).
+    pub(crate) fn insert_with(&mut self, version: Version, on_new: impl FnOnce(&Version)) -> bool {
         let ord = version.order();
         // Newest-first: find the first element whose order is <= ord.
         match self.versions.binary_search_by(|v| ord.cmp(&v.order())) {
             Ok(_) => false,
             Err(pos) => {
+                on_new(&version);
                 self.versions.insert(pos, version);
                 true
             }

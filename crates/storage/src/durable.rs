@@ -1,11 +1,13 @@
 //! The durable engine: a [`MemEngine`] with a WAL and checkpoints.
 //!
-//! Writes go to memory first (the protocol's visibility rules are
-//! unchanged) and every *new* version is appended to the write-ahead log
-//! before `apply` returns. Periodically the ≤ UST stable prefix is
-//! frozen into an immutable checkpoint file and the log rotates; closed
-//! segments fully covered by a checkpoint and below the GC horizon are
-//! deleted. Recovery ([`DurableEngine::open`]) loads the newest intact
+//! Writes go to memory (the protocol's visibility rules are unchanged)
+//! and every *new* version is appended to the write-ahead log before
+//! `apply` returns. [`Engine::apply_batch`] logs a whole apply group —
+//! one origin apply tick, one inbound replication frame — with one
+//! `write` and at most one `fsync`. Periodically the ≤ UST stable
+//! prefix is frozen into an immutable checkpoint file and the log
+//! rotates; closed segments fully covered by a checkpoint and below the
+//! GC horizon are deleted. Recovery ([`DurableEngine::open`]) loads the newest intact
 //! checkpoint, replays every WAL segment (truncating a torn tail), and
 //! reports a [`RecoveryInfo`] the server uses to re-seed its version
 //! vector, HLC and stable frontier — so a restarted server resumes
@@ -20,7 +22,7 @@ use paris_types::{DcId, Key, Timestamp, TxId, Value, Version};
 
 use crate::chain::VersionChain;
 use crate::checkpoint::{self, CheckpointMeta};
-use crate::engine::{DurableStats, Engine};
+use crate::engine::{ApplyFn, DurableStats, Engine};
 use crate::store::{MemEngine, StoreStats};
 use crate::wal::{self, ClosedSegment, SegmentWriter};
 
@@ -30,9 +32,11 @@ pub const DEFAULT_CHECKPOINT_INTERVAL_MICROS: u64 = 500_000;
 
 /// When to `fsync` the write-ahead log.
 ///
-/// Records always reach the OS page cache per append (surviving a
-/// killed process); the policy decides whether they also survive power
-/// loss before `apply` acknowledges.
+/// Records always reach the OS page cache when their apply group is
+/// written (surviving a killed process); the policy decides whether they
+/// also survive power loss before `apply`/`apply_batch` returns — that
+/// is, before the server publishes the watermark covering them or
+/// replicates them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Never fsync on the append path: group durability comes from
@@ -40,7 +44,10 @@ pub enum FsyncPolicy {
     /// suffix on power loss (never on a plain crash).
     #[default]
     Never,
-    /// Fsync after every appended record. Strongest; slowest.
+    /// Fsync once per apply group (one `Engine::apply` call or one
+    /// `Engine::apply_batch` group that inserted a new version), after
+    /// its records are written and before the call returns. Strongest;
+    /// slowest.
     Always,
 }
 
@@ -176,9 +183,10 @@ impl From<DurableError> for paris_types::Error {
 }
 
 /// Log-side state serialized behind one mutex: the active segment plus
-/// the pruning bookkeeping. The in-memory store keeps its own sharded
-/// locks; appenders only contend here for the microseconds one record
-/// write takes.
+/// the pruning bookkeeping. An apply group holds it from its first
+/// insert to its write (and fsync), so a group's records are contiguous
+/// in the log; the in-memory store keeps its own sharded locks, taken
+/// one insert at a time inside it.
 #[derive(Debug)]
 struct LogState {
     writer: SegmentWriter,
@@ -332,14 +340,33 @@ impl DurableEngine {
         &self.cfg
     }
 
-    fn append_to_wal(&self, v: &Version) {
-        let mut log = self.log.lock().expect("wal state poisoned");
-        if log.wal_failed {
+    /// Inserts one update into memory under the held log lock, staging
+    /// its WAL record if the version is new.
+    fn insert_staged(
+        &self,
+        log: &mut LogState,
+        key: Key,
+        value: Value,
+        ut: Timestamp,
+        tx: TxId,
+        src: DcId,
+    ) -> bool {
+        self.mem.apply_with(key, value, ut, tx, src, |v| {
+            if !log.wal_failed {
+                log.writer.stage(v);
+            }
+        })
+    }
+
+    /// Writes the staged group of `records` new versions with one
+    /// `write`, plus one `fsync` under [`FsyncPolicy::Always`].
+    fn write_group(&self, log: &mut LogState, records: u64) {
+        if records == 0 || log.wal_failed {
             return;
         }
-        let result = log.writer.append(v).and_then(|bytes| {
+        let result = log.writer.write_group().and_then(|bytes| {
             self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-            self.wal_records.fetch_add(1, Ordering::Relaxed);
+            self.wal_records.fetch_add(records, Ordering::Relaxed);
             if self.cfg.fsync == FsyncPolicy::Always {
                 self.wal_syncs.fetch_add(1, Ordering::Relaxed);
                 log.writer.sync()?;
@@ -393,10 +420,21 @@ impl DurableEngine {
 
 impl Engine for DurableEngine {
     fn apply(&self, key: Key, value: Value, ut: Timestamp, tx: TxId, src: DcId) -> bool {
-        let inserted = self.mem.apply(key, value.clone(), ut, tx, src);
-        if inserted {
-            self.append_to_wal(&Version::new(key, value, ut, tx, src));
-        }
+        let mut log = self.log.lock().expect("wal state poisoned");
+        let inserted = self.insert_staged(&mut log, key, value, ut, tx, src);
+        self.write_group(&mut log, u64::from(inserted));
+        inserted
+    }
+
+    fn apply_batch(&self, fill: &mut dyn FnMut(&mut ApplyFn<'_>)) -> u64 {
+        let mut log = self.log.lock().expect("wal state poisoned");
+        let mut inserted = 0u64;
+        fill(&mut |key, value, ut, tx, src| {
+            let new = self.insert_staged(&mut log, key, value, ut, tx, src);
+            inserted += u64::from(new);
+            new
+        });
+        self.write_group(&mut log, inserted);
         inserted
     }
 

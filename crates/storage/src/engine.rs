@@ -37,6 +37,10 @@ pub struct DurableStats {
     pub segments_pruned: u64,
 }
 
+/// The per-update function an [`Engine::apply_batch`] caller feeds its
+/// group through: the arguments and result of one [`Engine::apply`].
+pub type ApplyFn<'a> = dyn FnMut(Key, Value, Timestamp, TxId, DcId) -> bool + 'a;
+
 /// The storage engine owned by one partition server.
 ///
 /// This is the `update(k, v, ut, id_T)` / snapshot-read target of
@@ -50,6 +54,29 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
     /// Idempotent under replication re-delivery; returns `true` if the
     /// version was new.
     fn apply(&self, key: Key, value: Value, ut: Timestamp, tx: TxId, src: DcId) -> bool;
+
+    /// Applies a group of committed updates as one unit — the batch the
+    /// protocol already has: one apply tick at the origin, one inbound
+    /// replication frame at a peer (Alg. 4 lines 5–30). `fill` is called
+    /// once and passes every update of the group, in apply order, to the
+    /// function it is given; each behaves exactly as [`Engine::apply`]
+    /// (idempotent, `true` if new). Returns the versions newly inserted.
+    ///
+    /// Durable engines log the group's new versions with one write and
+    /// at most one fsync, all before this returns, so callers publish
+    /// the group (watermark, replication) only after it is durable.
+    /// `fill` may take locks of its own (the commit pipeline's lanes);
+    /// they are released before the log write, but it must never call
+    /// back into the engine.
+    fn apply_batch(&self, fill: &mut dyn FnMut(&mut ApplyFn<'_>)) -> u64 {
+        let mut inserted = 0u64;
+        fill(&mut |key, value, ut, tx, src| {
+            let new = self.apply(key, value, ut, tx, src);
+            inserted += u64::from(new);
+            new
+        });
+        inserted
+    }
 
     /// Snapshot read: the freshest version of `key` with `ut ≤ ts`
     /// (Alg. 3 lines 5–6).

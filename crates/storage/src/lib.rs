@@ -56,7 +56,7 @@ pub use durable::{
     DurableConfig, DurableEngine, DurableError, FsyncPolicy, RecoveryInfo,
     DEFAULT_CHECKPOINT_INTERVAL_MICROS,
 };
-pub use engine::{DurableStats, Engine};
+pub use engine::{ApplyFn, DurableStats, Engine};
 pub use stable::{ReadGuard, StableFrontier, StaleSnapshot, DEFAULT_READ_SLOTS};
 pub use store::{MemEngine, StoreStats, DEFAULT_SHARDS};
 

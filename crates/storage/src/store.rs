@@ -105,6 +105,21 @@ impl MemEngine {
     /// Idempotent under replication re-delivery; returns `true` if the
     /// version was new.
     pub fn apply(&self, key: Key, value: Value, ut: Timestamp, tx: TxId, src: DcId) -> bool {
+        self.apply_with(key, value, ut, tx, src, |_| ())
+    }
+
+    /// [`MemEngine::apply`], calling `on_new` with the version under the
+    /// shard lock just before it is inserted (never for a duplicate). The
+    /// durable engine stages WAL records this way without cloning values.
+    pub(crate) fn apply_with(
+        &self,
+        key: Key,
+        value: Value,
+        ut: Timestamp,
+        tx: TxId,
+        src: DcId,
+        on_new: impl FnOnce(&Version),
+    ) -> bool {
         let mut shard = self.shard_of(key).write().expect("shard poisoned");
         let chain = match shard.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -113,7 +128,7 @@ impl MemEngine {
                 e.insert(VersionChain::new())
             }
         };
-        let inserted = chain.insert(Version::new(key, value, ut, tx, src));
+        let inserted = chain.insert_with(Version::new(key, value, ut, tx, src), on_new);
         if inserted {
             self.applied.fetch_add(1, Ordering::Relaxed);
             self.versions.fetch_add(1, Ordering::Relaxed);

@@ -15,7 +15,9 @@
 //! small ids of background traffic cost one byte each. The trailing CRC
 //! makes replay **torn-tail-safe**: a crash mid-append leaves a record
 //! whose length, body or CRC cannot check out, replay stops at the last
-//! good record and the tail is truncated away. Declared lengths are
+//! good record and the tail is truncated away. A group of records goes
+//! out in one `write`, so a crash mid-group recovers a record-prefix of
+//! the group, never part of a record. Declared lengths are
 //! validated against the bytes actually present before any allocation,
 //! so a garbage segment can never cause an oversized allocation — the
 //! same discipline as the wire decoders.
@@ -24,7 +26,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use paris_proto::varint;
 use paris_proto::wire::DecodeError;
 use paris_types::{DcId, Key, PartitionId, Timestamp, TxId, Value, Version};
@@ -81,7 +83,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // --------------------------------------------------------------- records
 
-fn put_ts(buf: &mut BytesMut, ts: Timestamp) {
+fn put_ts(buf: &mut Vec<u8>, ts: Timestamp) {
     varint::put(buf, ts.physical_micros());
     varint::put(buf, u64::from(ts.logical()));
 }
@@ -95,18 +97,18 @@ fn get_ts(buf: &mut Bytes) -> Result<Timestamp, DecodeError> {
     Ok(Timestamp::from_parts(physical, logical))
 }
 
-/// Encodes one version as a WAL record body (no framing).
-fn encode_body(v: &Version) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(24 + v.value.len());
-    varint::put(&mut buf, v.key.0);
-    varint::put(&mut buf, v.value.len() as u64);
-    buf.put_slice(v.value.as_bytes());
-    put_ts(&mut buf, v.ut);
-    varint::put(&mut buf, u64::from(v.tx.dc.0));
-    varint::put(&mut buf, u64::from(v.tx.partition.0));
-    varint::put(&mut buf, v.tx.seq);
-    varint::put(&mut buf, u64::from(v.src.0));
-    buf
+/// Exact encoded size of `v`'s record body, so the length prefix can be
+/// written before the body without a scratch buffer.
+fn body_len(v: &Version) -> usize {
+    varint::len(v.key.0)
+        + varint::len(v.value.len() as u64)
+        + v.value.len()
+        + varint::len(v.ut.physical_micros())
+        + varint::len(u64::from(v.ut.logical()))
+        + varint::len(u64::from(v.tx.dc.0))
+        + varint::len(u64::from(v.tx.partition.0))
+        + varint::len(v.tx.seq)
+        + varint::len(u64::from(v.src.0))
 }
 
 fn decode_body(mut buf: Bytes) -> Result<Version, DecodeError> {
@@ -134,14 +136,35 @@ fn decode_body(mut buf: Bytes) -> Result<Version, DecodeError> {
     })
 }
 
-/// Encodes one version as a framed WAL record: length, body, CRC.
+/// Appends one version to `buf` as a framed WAL record (length, body,
+/// CRC) and returns the framed size. Allocates only if `buf` must grow.
+pub(crate) fn encode_record_into(buf: &mut Vec<u8>, v: &Version) -> usize {
+    let start = buf.len();
+    let len = body_len(v);
+    buf.reserve(varint::len(len as u64) + len + 4);
+    varint::put(buf, len as u64);
+    let body = buf.len();
+    varint::put(buf, v.key.0);
+    varint::put(buf, v.value.len() as u64);
+    buf.put_slice(v.value.as_bytes());
+    put_ts(buf, v.ut);
+    varint::put(buf, u64::from(v.tx.dc.0));
+    varint::put(buf, u64::from(v.tx.partition.0));
+    varint::put(buf, v.tx.seq);
+    varint::put(buf, u64::from(v.src.0));
+    // The length prefix is already written: a mismatch would log a
+    // record that replay rejects as torn.
+    assert_eq!(buf.len() - body, len, "body_len is exact");
+    let crc = crc32(&buf[body..]);
+    buf.put_u32_le(crc);
+    buf.len() - start
+}
+
+/// Encodes one version as a standalone framed WAL record.
 pub fn encode_record(v: &Version) -> Bytes {
-    let body = encode_body(v).freeze();
-    let mut buf = BytesMut::with_capacity(varint::len(body.len() as u64) + body.len() + 4);
-    varint::put(&mut buf, body.len() as u64);
-    buf.put_slice(&body);
-    buf.put_u32_le(crc32(&body));
-    buf.freeze()
+    let mut buf = Vec::new();
+    encode_record_into(&mut buf, v);
+    Bytes::from(buf)
 }
 
 /// One decode step over a segment's record stream.
@@ -238,12 +261,21 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
     rest.parse().ok()
 }
 
+/// Group-buffer capacity kept between groups: steady-state groups (a few
+/// records per apply tick or replication frame) fit; a larger group (a
+/// bulk load) grows the buffer for its own write, then gives the excess
+/// back so a server does not hold its largest group forever.
+const GROUP_RETAIN_BYTES: usize = 4 * 1024;
+
 /// The active (appendable) WAL segment.
 ///
-/// Records are written straight to the file — they land in the OS page
-/// cache per append, never in a process-local buffer — so a SIGKILL'd
-/// server loses at most what the fsync policy allows (nothing the OS
-/// accepted), not an application buffer full of acknowledged commits.
+/// Records are encoded into one reusable group buffer and written to the
+/// file with one `write` per group ([`SegmentWriter::stage`] then
+/// [`SegmentWriter::write_group`]; [`SegmentWriter::append`] is a group
+/// of one). They land in the OS page cache when the group is written —
+/// nothing stays in the process between groups — so a SIGKILL'd server
+/// loses at most what the fsync policy allows (nothing the OS accepted),
+/// not an application buffer full of applied versions.
 #[derive(Debug)]
 pub struct SegmentWriter {
     file: File,
@@ -252,6 +284,8 @@ pub struct SegmentWriter {
     /// Largest update timestamp appended to this segment.
     max_ut: Timestamp,
     bytes: u64,
+    /// Framed records staged for the next [`SegmentWriter::write_group`].
+    group: Vec<u8>,
 }
 
 impl SegmentWriter {
@@ -270,17 +304,38 @@ impl SegmentWriter {
             seq,
             max_ut: Timestamp::ZERO,
             bytes: SEGMENT_HEADER_LEN as u64,
+            group: Vec::new(),
         })
     }
 
     /// Appends one version record (one `write` to the OS). Returns the
     /// framed record size.
     pub fn append(&mut self, v: &Version) -> Result<u64, DurableError> {
-        let record = encode_record(v);
-        self.file.write_all(&record)?;
+        self.stage(v);
+        self.write_group()
+    }
+
+    /// Encodes one version record into the pending group without any
+    /// I/O. Returns the framed record size.
+    pub fn stage(&mut self, v: &Version) -> u64 {
         self.max_ut = self.max_ut.max(v.ut);
-        self.bytes += record.len() as u64;
-        Ok(record.len() as u64)
+        encode_record_into(&mut self.group, v) as u64
+    }
+
+    /// Writes every staged record with one `write` to the OS and empties
+    /// the group. Returns the bytes written (0 for an empty group, which
+    /// issues no I/O).
+    pub fn write_group(&mut self) -> Result<u64, DurableError> {
+        if self.group.is_empty() {
+            return Ok(0);
+        }
+        let written = self.file.write_all(&self.group);
+        let len = self.group.len() as u64;
+        self.group.clear();
+        self.group.shrink_to(GROUP_RETAIN_BYTES);
+        written?;
+        self.bytes += len;
+        Ok(len)
     }
 
     /// Fsyncs the segment file (power-loss durability).
@@ -367,6 +422,29 @@ mod tests {
         let replay = replay_segment(&bytes).unwrap();
         assert_eq!(replay.versions, vec![v]);
         assert_eq!(replay.good_len, bytes.len());
+    }
+
+    #[test]
+    fn record_bytes_are_format_1() {
+        // Frozen bytes of one record: segments written by any earlier
+        // encoder must keep replaying.
+        let v = Version::new(
+            Key(300),
+            Value(b"golden".to_vec()),
+            Timestamp::from_parts(1_700_000_000_123, 7),
+            TxId::new(ServerId::new(DcId(2), PartitionId(5)), 99_999),
+            DcId(2),
+        );
+        let golden = [
+            22, 172, 2, 6, 103, 111, 108, 100, 101, 110, 251, 208, 149, 255, 188, 49, 7, 2, 5, 159,
+            141, 6, 2, 95, 127, 228, 28,
+        ];
+        assert_eq!(encode_record(&v).to_vec(), golden);
+        let mut group = b"prefix".to_vec();
+        assert_eq!(encode_record_into(&mut group, &v), golden.len());
+        assert_eq!(&group[6..], &golden);
+        let replay = replay_segment(&segment_bytes(std::slice::from_ref(&v))).unwrap();
+        assert_eq!(replay.versions, vec![v]);
     }
 
     #[test]

@@ -775,3 +775,58 @@ fn durable_mini_cluster_survives_a_rebuild_from_the_same_directory() {
     txn.commit().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn durable_always_thread_cluster_survives_a_rebuild() {
+    // Real threads, every WAL group fsynced. Each transaction writes one
+    // key on each partition, so every commit runs both group paths: the
+    // origin's apply tick and the peer DC's inbound replication frame.
+    let dir = std::env::temp_dir().join(format!("paris-facade-always-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let build = || {
+        Paris::builder()
+            .dcs(2)
+            .partitions(2)
+            .replication(2)
+            .keys_per_partition(100)
+            .clients_per_dc(0)
+            .durability(paris::Durability::new(&dir).fsync(paris::FsyncPolicy::Always))
+            .build_thread()
+            .expect("valid durable deployment")
+    };
+    let value = |i: u64| Value::from(format!("always-{i}").as_str());
+
+    let mut cluster = build();
+    let mut committed = Vec::new();
+    for dc in 0..2u16 {
+        let client = cluster.open_client(dc).unwrap();
+        for i in 0..3u64 {
+            let n = u64::from(dc) * 3 + i;
+            // Keys 2n and 2n + 1 land on different partitions.
+            let keys = [Key(2 * n), Key(2 * n + 1)];
+            let mut txn = cluster.begin(client).unwrap();
+            for key in keys {
+                txn.write(key, value(key.0));
+            }
+            txn.commit().unwrap();
+            committed.extend(keys);
+        }
+    }
+    cluster.stabilize(5);
+    drop(cluster);
+
+    let mut cluster = build();
+    cluster.stabilize(5);
+    for dc in 0..2u16 {
+        let client = cluster.open_client(dc).unwrap();
+        let mut txn = cluster.begin(client).unwrap();
+        for &key in &committed {
+            assert_eq!(
+                txn.read_one(key).unwrap(),
+                Some(value(key.0)),
+                "{key:?} read back in DC {dc} after the rebuild"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
