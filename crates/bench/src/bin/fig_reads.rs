@@ -93,7 +93,7 @@ fn run_thread_arm(spec: &ArmSpec, warmup: u64, window: u64) -> Arm {
         .workload(WorkloadConfig::read_mostly())
         .clients_per_dc(CLIENTS_PER_DC)
         .uniform_latency_micros(10_000)
-        .latency_scale(0.01) // 100 µs one-way inter-DC; local links are free
+        .latency_scale(0.01) // 100 µs one-way inter-DC, 2.5 µs intra-DC
         .jitter(0.0)
         .seed(42)
         .batch_size(32) // batching on: coalescing must not disturb reads

@@ -6,6 +6,24 @@
 //! protocol state machines under genuine concurrency and is what the
 //! integration tests use to catch races the deterministic simulator
 //! cannot.
+//!
+//! **Inline intra-DC delivery.** Handing an envelope to the wheel costs a
+//! thread hand-off, which is more than a scaled intra-DC link's delay
+//! (250 µs × 0.01 = 2.5 µs by default). So [`NetHandle::send`] delivers
+//! an envelope itself — waits out its jittered delay on the sending
+//! thread, then delivers through the same taps and inboxes as the wheel —
+//! when its source and destination share a DC whose worst-case scaled
+//! intra-DC delay is below [`INLINE_MAX_DELAY_MICROS`], unless it is
+//! coalescable background traffic while batching is on. Everything else
+//! takes the wheel: all cross-DC traffic, coalesced frames, and
+//! intra-DC links slow enough to be worth modelling (e.g. `scale = 1.0`).
+//! Link faults ([`LinkControl`]) only ever touch cross-DC links, so they
+//! never need the inline path. Per-link FIFO holds because the path an
+//! envelope takes is a function of its link and message class, and an
+//! inline send returns only after delivery. The one ordering the wheel
+//! alone would not produce — a foreground message overtaking a background
+//! frame already flushed into the wheel on the same link — is one the
+//! coalescer already produces by holding background frames back.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -33,7 +51,10 @@ pub struct ThreadedNetConfig {
     pub matrix: RegionMatrix,
     /// Multiplier applied to every latency (e.g. `0.01` compresses a 70 ms
     /// RTT to 0.7 ms so tests finish quickly while preserving relative
-    /// latency structure).
+    /// latency structure). A DC whose scaled worst-case intra-DC delay,
+    /// `one_way(d, d) × (1 + jitter) × scale`, is below
+    /// [`INLINE_MAX_DELAY_MICROS`] has its intra-DC traffic delivered by
+    /// the sending thread instead of the delay wheel (see the module docs).
     pub scale: f64,
     /// Jitter fraction (±), applied before scaling.
     pub jitter: f64,
@@ -62,6 +83,14 @@ impl ThreadedNetConfig {
         }
     }
 }
+
+/// Worst-case scaled intra-DC delay, in microseconds, below which
+/// [`NetHandle::send`] delivers intra-DC traffic from the sending thread
+/// instead of through the delay wheel. The wheel's extra thread hand-off
+/// costs about this much per message on its own (a router ping-pong took
+/// a median 39 µs per round trip against 18 µs over a bare channel, on a
+/// 2-vCPU x86 host), so a shorter link delay is not worth modelling there.
+pub const INLINE_MAX_DELAY_MICROS: f64 = 10.0;
 
 /// Snapshot of the router's traffic counters: everything scheduled onto
 /// the (simulated) wire after coalescing, sized in the configured
@@ -141,30 +170,42 @@ fn link_key(a: DcId, b: DcId) -> (DcId, DcId) {
 
 struct Registry {
     inboxes: HashMap<Endpoint, Sender<Envelope>>,
-    read_tap: Option<ReadTap>,
-    write_tap: Option<WriteTap>,
-    /// Bumped on every [`Router::set_read_tap`] /
-    /// [`Router::set_write_tap`], so a pruning delivery that raced a tap
-    /// replacement never removes a healthy lane of the new tap.
+    read_tap: Option<Tap>,
+    write_tap: Option<Tap>,
+    /// Bumped on every tap install and every lane prune. Deliveries run
+    /// concurrently (the wheel and every inline sender), so a delivery
+    /// whose lane send failed prunes only if the tap is still the one it
+    /// picked from — never a healthy lane of a replacement tap, nor one
+    /// that a concurrent prune shifted into the dead lane's slot.
     tap_epoch: u64,
 }
 
-/// Round-robin fan-out of server-bound read-path deliveries
-/// (`ReadSliceReq` and `StartTxReq`) into read-pool lanes (see
-/// [`Router::set_read_tap`]).
-struct ReadTap {
-    lanes: Vec<Sender<Envelope>>,
-    next: usize,
-    epoch: u64,
+impl Registry {
+    fn tap(&mut self, kind: TapKind) -> &mut Option<Tap> {
+        match kind {
+            TapKind::Read => &mut self.read_tap,
+            TapKind::Write => &mut self.write_tap,
+        }
+    }
 }
 
-/// Source-keyed fan-out of server-bound write-path deliveries into
-/// write-pool lanes (see [`Router::set_write_tap`]). Unlike the read
-/// tap there is no round-robin cursor: the lane is a pure function of
-/// the envelope's source, so all traffic of one source stays FIFO on
-/// one lane — the ordering the commit and replication handlers rely on.
-struct WriteTap {
+/// Which pool a tapped delivery feeds (see [`Router::set_read_tap`] and
+/// [`Router::set_write_tap`]).
+#[derive(Debug, Clone, Copy)]
+enum TapKind {
+    /// Round-robin over read-pool lanes.
+    Read,
+    /// Source-keyed: the lane is a pure function of the envelope's
+    /// source, so all traffic of one source stays FIFO on one lane — the
+    /// ordering the commit and replication handlers rely on.
+    Write,
+}
+
+/// Fan-out of one path's server-bound deliveries into pool lanes.
+struct Tap {
     lanes: Vec<Sender<Envelope>>,
+    /// Round-robin cursor (read tap only).
+    next: usize,
     epoch: u64,
 }
 
@@ -179,25 +220,113 @@ pub struct Router {
     wheel_tx: Sender<WheelCmd>,
     wheel: Option<JoinHandle<()>>,
     counters: Arc<NetCounters>,
+    inline: Arc<InlinePath>,
 }
 
 /// A cheap cloneable sender into the network.
 #[derive(Clone)]
 pub struct NetHandle {
     wheel_tx: Sender<WheelCmd>,
+    inline: Arc<InlinePath>,
 }
 
 impl NetHandle {
     /// Sends an envelope; it will be delivered to the destination inbox
     /// after the configured link latency. Messages to unregistered
     /// endpoints are dropped (the destination may have shut down).
+    ///
+    /// Intra-DC traffic on a fast enough link is delivered before this
+    /// returns (see the module docs); everything else is queued on the
+    /// delay wheel.
     pub fn send(&self, env: Envelope) {
+        let sent_at = Instant::now();
+        if let Some(base) = self.inline.base_micros(&env) {
+            self.inline.send(env, base, sent_at);
+            return;
+        }
         // Ignore errors: the wheel is gone only during teardown.
-        let _ = self.wheel_tx.send(WheelCmd::Send {
-            env,
-            sent_at: Instant::now(),
-        });
+        let _ = self.wheel_tx.send(WheelCmd::Send { env, sent_at });
     }
+}
+
+/// The sending-thread half of the router: what [`NetHandle::send`] needs
+/// to deliver intra-DC traffic without the wheel.
+struct InlinePath {
+    /// Per DC: the nominal intra-DC one-way latency in µs when its scaled
+    /// worst case is below [`INLINE_MAX_DELAY_MICROS`], `None` otherwise.
+    local_base: Vec<Option<f64>>,
+    jitter: f64,
+    scale: f64,
+    wire: WireFormat,
+    /// Background traffic is coalesced on the wheel, so it never goes
+    /// inline while batching is on.
+    batching: bool,
+    /// Jitter source, locked only when there is jitter.
+    rng: Mutex<StdRng>,
+    registry: Arc<Mutex<Registry>>,
+    counters: Arc<NetCounters>,
+}
+
+impl InlinePath {
+    fn new(
+        config: &ThreadedNetConfig,
+        registry: Arc<Mutex<Registry>>,
+        counters: Arc<NetCounters>,
+    ) -> Self {
+        let local_base = (0..config.matrix.dcs())
+            .map(|d| {
+                let base = config.matrix.one_way(DcId(d), DcId(d)) as f64;
+                let worst = base * (1.0 + config.jitter) * config.scale;
+                (worst < INLINE_MAX_DELAY_MICROS).then_some(base)
+            })
+            .collect();
+        InlinePath {
+            local_base,
+            jitter: config.jitter,
+            scale: config.scale,
+            wire: config.wire,
+            batching: config.batch.is_enabled(),
+            rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
+            registry,
+            counters,
+        }
+    }
+
+    /// The nominal link latency of `env` if it is delivered inline.
+    fn base_micros(&self, env: &Envelope) -> Option<f64> {
+        let dc = env.src.dc();
+        if dc != env.dst.dc() || (self.batching && Coalescer::is_coalescable(&env.msg)) {
+            return None;
+        }
+        self.local_base.get(dc.index()).copied().flatten()
+    }
+
+    /// Counts `env`, waits out its delay and delivers it, all on the
+    /// calling thread. The delay is a few µs, far below the sleep
+    /// granularity, so the wait spins.
+    fn send(&self, env: Envelope, base: f64, sent_at: Instant) {
+        self.counters.record(&env, self.wire);
+        let delay = link_delay(base, self.jitter, self.scale, || {
+            self.rng.lock().expect("jitter rng poisoned").gen::<f64>()
+        });
+        let due = sent_at + delay;
+        while Instant::now() < due {
+            std::hint::spin_loop();
+        }
+        deliver(&self.registry, env);
+    }
+}
+
+/// The delay of one message on a link of nominal one-way latency `base`
+/// µs: jittered by `±jitter` (drawing from `unit` only when there is
+/// jitter), scaled, and truncated to whole microseconds.
+fn link_delay(base: f64, jitter: f64, scale: f64, unit: impl FnOnce() -> f64) -> Duration {
+    let jittered = if jitter > 0.0 {
+        base * (1.0 + jitter * (unit() * 2.0 - 1.0))
+    } else {
+        base
+    };
+    Duration::from_micros((jittered * scale).max(0.0) as u64)
 }
 
 /// A cheap cloneable fault-injection handle: link partition, heal and
@@ -261,7 +390,9 @@ impl LinkControl {
 }
 
 impl Router {
-    /// Starts the router and its delay-wheel thread.
+    /// Starts the router and its delay-wheel thread, and decides once
+    /// which DCs' intra-DC traffic is delivered inline (see the module
+    /// docs).
     pub fn start(config: ThreadedNetConfig) -> Self {
         let registry = Arc::new(Mutex::new(Registry {
             inboxes: HashMap::new(),
@@ -273,6 +404,11 @@ impl Router {
         let wheel_registry = Arc::clone(&registry);
         let counters = Arc::new(NetCounters::default());
         let wheel_counters = Arc::clone(&counters);
+        let inline = Arc::new(InlinePath::new(
+            &config,
+            Arc::clone(&registry),
+            Arc::clone(&counters),
+        ));
         let wheel = std::thread::Builder::new()
             .name("paris-net-wheel".into())
             .spawn(move || wheel_loop(config, wheel_rx, wheel_registry, wheel_counters))
@@ -282,6 +418,7 @@ impl Router {
             wheel_tx,
             wheel: Some(wheel),
             counters,
+            inline,
         }
     }
 
@@ -318,6 +455,7 @@ impl Router {
     pub fn handle(&self) -> NetHandle {
         NetHandle {
             wheel_tx: self.wheel_tx.clone(),
+            inline: Arc::clone(&self.inline),
         }
     }
 
@@ -343,18 +481,7 @@ impl Router {
     /// is ever lost and dead lanes are not paid for again. Passing an
     /// empty vector uninstalls the tap.
     pub fn set_read_tap(&self, lanes: Vec<Sender<Envelope>>) {
-        let mut reg = self.registry.lock().expect("registry poisoned");
-        reg.tap_epoch += 1;
-        let epoch = reg.tap_epoch;
-        reg.read_tap = if lanes.is_empty() {
-            None
-        } else {
-            Some(ReadTap {
-                lanes,
-                next: 0,
-                epoch,
-            })
-        };
+        self.install_tap(TapKind::Read, lanes);
     }
 
     /// Installs the write tap: from now on, write-path envelopes bound
@@ -373,14 +500,18 @@ impl Router {
     /// to the server inboxes. Passing an empty vector uninstalls the
     /// tap.
     pub fn set_write_tap(&self, lanes: Vec<Sender<Envelope>>) {
+        self.install_tap(TapKind::Write, lanes);
+    }
+
+    fn install_tap(&self, kind: TapKind, lanes: Vec<Sender<Envelope>>) {
         let mut reg = self.registry.lock().expect("registry poisoned");
         reg.tap_epoch += 1;
         let epoch = reg.tap_epoch;
-        reg.write_tap = if lanes.is_empty() {
-            None
-        } else {
-            Some(WriteTap { lanes, epoch })
-        };
+        *reg.tap(kind) = (!lanes.is_empty()).then_some(Tap {
+            lanes,
+            next: 0,
+            epoch,
+        });
     }
 }
 
@@ -389,6 +520,14 @@ impl Drop for Router {
         let _ = self.wheel_tx.send(WheelCmd::Shutdown);
         if let Some(h) = self.wheel.take() {
             let _ = h.join();
+        }
+        // Handles outlive the router and still reach the registry through
+        // the inline path: empty it, so inline sends after teardown are
+        // dropped like wheel sends and every inbox sees its disconnect.
+        if let Ok(mut reg) = self.registry.lock() {
+            reg.inboxes.clear();
+            reg.read_tap = None;
+            reg.write_tap = None;
         }
     }
 }
@@ -457,12 +596,7 @@ impl WheelState {
                 base *= scale;
             }
         }
-        let jittered = if config.jitter > 0.0 {
-            base * (1.0 + config.jitter * (self.rng.gen::<f64>() * 2.0 - 1.0))
-        } else {
-            base
-        };
-        let delay = Duration::from_micros((jittered * config.scale).max(0.0) as u64);
+        let delay = link_delay(base, config.jitter, config.scale, || self.rng.gen::<f64>());
         let link = (env.src, env.dst);
         let natural = sent_at + delay;
         let due = match self.fifo.get(&link) {
@@ -524,98 +658,92 @@ impl WheelState {
 
 /// Delivers one due envelope: read-tapped traffic (server-bound
 /// `ReadSliceReq`/`StartTxReq`/`GstReport`/`GossipDigest`) goes to a
-/// pool lane (round-robin), the rest to the destination inbox. On the tapped happy path only the lane
-/// sender is cloned under the registry lock — the inbox is looked up only
-/// when delivery actually falls back. A lane whose receiver is gone is
-/// pruned from the tap (uninstalling the tap when the last lane dies) so
-/// later deliveries never pay for it again.
-fn deliver(registry: &Arc<Mutex<Registry>>, mut env: Envelope) {
-    let server_bound = matches!(env.dst, Endpoint::Server(_));
-    let is_tapped_read = matches!(
-        env.msg,
-        Msg::ReadSliceReq { .. }
-            | Msg::StartTxReq { .. }
-            | Msg::GstReport { .. }
-            | Msg::GossipDigest { .. }
-    ) && server_bound;
-    let is_tapped_write = matches!(
-        env.msg,
-        Msg::PrepareReq { .. }
-            | Msg::CommitTx { .. }
-            | Msg::Replicate { .. }
-            | Msg::ReplicateBatch { .. }
-            | Msg::Heartbeat { .. }
-    ) && server_bound;
-    if is_tapped_write {
-        loop {
-            let picked = {
-                let mut reg = registry.lock().expect("registry poisoned");
-                reg.write_tap.as_mut().map(|tap| {
-                    // Source-keyed, not round-robin: one source, one lane,
-                    // FIFO (see `set_write_tap`).
-                    let idx = (env.src.route_key() as usize) % tap.lanes.len();
-                    (tap.epoch, idx, tap.lanes[idx].clone())
-                })
-            };
-            let Some((epoch, idx, lane)) = picked else {
-                break; // no tap (or it just uninstalled): inbox fallback
-            };
-            match lane.send(env) {
-                Ok(()) => return,
-                Err(std::sync::mpsc::SendError(returned)) => {
-                    env = returned;
-                    let mut reg = registry.lock().expect("registry poisoned");
-                    if let Some(tap) = reg.write_tap.as_mut() {
-                        if tap.epoch == epoch {
-                            tap.lanes.remove(idx);
-                            if tap.lanes.is_empty() {
-                                reg.write_tap = None;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if is_tapped_read {
-        loop {
-            let picked = {
-                let mut reg = registry.lock().expect("registry poisoned");
-                reg.read_tap.as_mut().map(|tap| {
-                    let idx = tap.next % tap.lanes.len();
-                    tap.next = tap.next.wrapping_add(1);
-                    (tap.epoch, idx, tap.lanes[idx].clone())
-                })
-            };
-            let Some((epoch, idx, lane)) = picked else {
-                break; // no tap (or it just uninstalled): inbox fallback
-            };
-            match lane.send(env) {
-                Ok(()) => return,
-                Err(std::sync::mpsc::SendError(returned)) => {
-                    env = returned;
-                    let mut reg = registry.lock().expect("registry poisoned");
-                    if let Some(tap) = reg.read_tap.as_mut() {
-                        // Only prune from the tap the dead lane came from;
-                        // a replacement installed meanwhile keeps all its
-                        // (healthy) lanes.
-                        if tap.epoch == epoch {
-                            tap.lanes.remove(idx);
-                            if tap.lanes.is_empty() {
-                                reg.read_tap = None;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+/// read-pool lane, write-tapped traffic to a write-pool lane, the rest
+/// to the destination inbox. Called by the wheel and by inline senders,
+/// concurrently.
+fn deliver(registry: &Arc<Mutex<Registry>>, env: Envelope) {
+    let env = match tap_kind(&env) {
+        Some(kind) => match offer_to_tap(registry, kind, env) {
+            Some(env) => env,
+            None => return,
+        },
+        None => env,
+    };
     let inbox = {
         let reg = registry.lock().expect("registry poisoned");
         reg.inboxes.get(&env.dst).cloned()
     };
     if let Some(tx) = inbox {
         let _ = tx.send(env);
+    }
+}
+
+/// The tap `env` belongs to, if any: only server-bound traffic is tapped.
+fn tap_kind(env: &Envelope) -> Option<TapKind> {
+    if !matches!(env.dst, Endpoint::Server(_)) {
+        return None;
+    }
+    match env.msg {
+        Msg::ReadSliceReq { .. }
+        | Msg::StartTxReq { .. }
+        | Msg::GstReport { .. }
+        | Msg::GossipDigest { .. } => Some(TapKind::Read),
+        Msg::PrepareReq { .. }
+        | Msg::CommitTx { .. }
+        | Msg::Replicate { .. }
+        | Msg::ReplicateBatch { .. }
+        | Msg::Heartbeat { .. } => Some(TapKind::Write),
+        _ => None,
+    }
+}
+
+/// Sends `env` into a lane of the `kind` tap. Only the lane sender is
+/// cloned under the registry lock. A lane whose receiver is gone is
+/// pruned (the tap uninstalls when its last lane goes) and the envelope
+/// is retried on the survivors, so later deliveries never pay for a dead
+/// lane again. Returns the envelope when no tap is installed, for the
+/// inbox fallback.
+fn offer_to_tap(
+    registry: &Arc<Mutex<Registry>>,
+    kind: TapKind,
+    mut env: Envelope,
+) -> Option<Envelope> {
+    loop {
+        let picked = {
+            let mut reg = registry.lock().expect("registry poisoned");
+            reg.tap(kind).as_mut().map(|tap| {
+                let idx = match kind {
+                    TapKind::Read => {
+                        let idx = tap.next % tap.lanes.len();
+                        tap.next = tap.next.wrapping_add(1);
+                        idx
+                    }
+                    TapKind::Write => (env.src.route_key() as usize) % tap.lanes.len(),
+                };
+                (tap.epoch, idx, tap.lanes[idx].clone())
+            })
+        };
+        let Some((epoch, idx, lane)) = picked else {
+            return Some(env);
+        };
+        match lane.send(env) {
+            Ok(()) => return None,
+            Err(std::sync::mpsc::SendError(returned)) => {
+                env = returned;
+                let mut reg = registry.lock().expect("registry poisoned");
+                let next_epoch = reg.tap_epoch + 1;
+                let slot = reg.tap(kind);
+                let Some(tap) = slot.as_mut().filter(|tap| tap.epoch == epoch) else {
+                    continue;
+                };
+                tap.lanes.remove(idx);
+                tap.epoch = next_epoch;
+                if tap.lanes.is_empty() {
+                    *slot = None;
+                }
+                reg.tap_epoch = next_epoch;
+            }
+        }
     }
 }
 
@@ -749,15 +877,21 @@ mod tests {
             ..ThreadedNetConfig::fast(2)
         });
         let a = ServerId::new(DcId(0), PartitionId(0));
-        let b = ServerId::new(DcId(1), PartitionId(1));
-        let rx = router.register(b);
-        let h = router.handle();
-        for i in 0..100 {
-            h.send(Envelope::new(a, b, hb(i)));
-        }
-        for i in 0..100 {
-            let got = rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
-            assert_eq!(got.msg, hb(i), "message {i} out of order");
+        // Cross-DC through the wheel, and intra-DC inline (3.75 µs worst
+        // case).
+        for b in [
+            ServerId::new(DcId(1), PartitionId(1)),
+            ServerId::new(DcId(0), PartitionId(1)),
+        ] {
+            let rx = router.register(b);
+            let h = router.handle();
+            for i in 0..100 {
+                h.send(Envelope::new(a, b, hb(i)));
+            }
+            for i in 0..100 {
+                let got = rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
+                assert_eq!(got.msg, hb(i), "{b}: message {i} out of order");
+            }
         }
     }
 
@@ -1249,6 +1383,156 @@ mod tests {
         }
         let got = rx.recv_timeout(Duration::from_secs(2)).expect("released");
         assert_eq!(got.msg, hb(7));
+    }
+
+    #[test]
+    fn slow_intra_dc_link_still_goes_through_the_wheel() {
+        let router = Router::start(ThreadedNetConfig {
+            scale: 1.0, // 250 µs intra-DC: worth modelling
+            ..ThreadedNetConfig::fast(2)
+        });
+        let a = ClientId::new(DcId(0), 0);
+        let b = ServerId::new(DcId(0), PartitionId(0));
+        let rx = router.register(b);
+        let start = Instant::now();
+        router.handle().send(Envelope::new(
+            a,
+            b,
+            Msg::StartTxReq {
+                client_ust: Timestamp::ZERO,
+            },
+        ));
+        assert!(rx.try_recv().is_err(), "a slow link is not inline");
+        rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
+        assert!(
+            start.elapsed() >= Duration::from_micros(250),
+            "latency applied"
+        );
+    }
+
+    #[test]
+    fn inline_deliveries_reach_the_read_and_write_tap_lanes() {
+        let router = Router::start(ThreadedNetConfig::fast(2));
+        let client = ClientId::new(DcId(0), 3);
+        let coord = ServerId::new(DcId(0), PartitionId(0));
+        let cohort = ServerId::new(DcId(0), PartitionId(1));
+        let inbox = router.register(cohort);
+        let (r_tx, r_lane) = std::sync::mpsc::channel();
+        let (w_tx, w_lane) = std::sync::mpsc::channel();
+        router.set_read_tap(vec![r_tx]);
+        router.set_write_tap(vec![w_tx]);
+        let h = router.handle();
+        h.send(Envelope::new(
+            client,
+            cohort,
+            Msg::StartTxReq {
+                client_ust: Timestamp::ZERO,
+            },
+        ));
+        h.send(Envelope::new(
+            coord,
+            cohort,
+            Msg::PrepareReq {
+                tx: paris_types::TxId::new(coord, 1),
+                snapshot: Timestamp::ZERO,
+                ht: Timestamp::ZERO,
+                writes: Vec::new(),
+                reply_to: coord,
+                src_dc: DcId(0),
+            },
+        ));
+        let got = r_lane.try_recv().expect("start-tx tapped inline");
+        assert!(matches!(got.msg, Msg::StartTxReq { .. }));
+        let got = w_lane.try_recv().expect("prepare tapped inline");
+        assert!(matches!(got.msg, Msg::PrepareReq { .. }));
+        assert!(inbox.recv_timeout(Duration::from_millis(50)).is_err());
+    }
+
+    #[test]
+    fn batching_still_coalesces_intra_dc_gst_reports() {
+        let router = Router::start(ThreadedNetConfig {
+            batch: BatchConfig::fixed(2, 2_000_000), // force the size trigger
+            ..ThreadedNetConfig::fast(2)
+        });
+        let a = ServerId::new(DcId(0), PartitionId(1));
+        let root = ServerId::new(DcId(0), PartitionId(0));
+        let rx = router.register(root);
+        let h = router.handle();
+        for wm in [10, 20] {
+            h.send(Envelope::new(
+                a,
+                root,
+                Msg::GstReport {
+                    partition: PartitionId(1),
+                    mins: vec![(DcId(0), Timestamp::from_physical_micros(wm))],
+                    oldest_active: Timestamp::ZERO,
+                },
+            ));
+        }
+        let got = rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
+        assert!(
+            matches!(got.msg, Msg::GossipDigest { frames: 2, .. }),
+            "expected one digest of both reports, got {}",
+            got.msg.kind()
+        );
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+    }
+
+    #[test]
+    fn inline_and_wheel_count_the_same_traffic() {
+        let script = |dst_dc: u16| {
+            // Cross-DC links cost 0 µs, so the wheel path and the inline
+            // path (2.5 µs intra-DC) carry the same script.
+            let router = Router::start(ThreadedNetConfig {
+                matrix: RegionMatrix::uniform(2, 0),
+                jitter: 0.1,
+                ..ThreadedNetConfig::fast(2)
+            });
+            let a = ServerId::new(DcId(0), PartitionId(0));
+            let b = ServerId::new(DcId(dst_dc), PartitionId(1));
+            let rx = router.register(b);
+            let h = router.handle();
+            let msgs = [
+                hb(1),
+                read_req(2),
+                commit_tx(3, a),
+                Msg::StartTxReq {
+                    client_ust: Timestamp::ZERO,
+                },
+            ];
+            let n = msgs.len();
+            for msg in msgs {
+                h.send(Envelope::new(a, b, msg));
+            }
+            for _ in 0..n {
+                rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
+            }
+            router.net_stats()
+        };
+        let inline = script(0);
+        assert_eq!(inline.messages, 4);
+        assert!(inline.background_bytes > 0 && inline.bytes > inline.background_bytes);
+        assert_eq!(inline, script(1));
+    }
+
+    #[test]
+    fn sends_after_router_drop_are_dropped() {
+        let router = Router::start(ThreadedNetConfig::fast(2));
+        let a = ServerId::new(DcId(0), PartitionId(0));
+        let local = ServerId::new(DcId(0), PartitionId(1));
+        let remote = ServerId::new(DcId(1), PartitionId(1));
+        let rx_local = router.register(local);
+        let rx_remote = router.register(remote);
+        let h = router.handle();
+        drop(router);
+        h.send(Envelope::new(a, local, hb(1))); // inline path
+        h.send(Envelope::new(a, remote, hb(2))); // wheel path
+        for rx in [rx_local, rx_remote] {
+            assert!(matches!(
+                rx.recv_timeout(Duration::from_secs(1)),
+                Err(RecvTimeoutError::Disconnected)
+            ));
+        }
     }
 
     #[test]

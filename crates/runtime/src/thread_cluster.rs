@@ -602,6 +602,9 @@ impl Cluster for ThreadCluster {
             min_ust = Some(min_ust.map_or(server.ust(), |u: Timestamp| u.min(server.ust())));
         }
         out.min_ust = min_ust.unwrap_or(Timestamp::ZERO);
+        let net = self.router.net_stats();
+        out.net_messages = net.messages;
+        out.net_bytes = net.bytes;
         Ok(out)
     }
 

@@ -105,6 +105,9 @@ pub fn write_checkpoint(
         }
     }
     fs::rename(&tmp_path, &final_path)?;
+    if sync {
+        wal::sync_dir(dir)?;
+    }
     Ok((final_path, bytes))
 }
 

@@ -46,8 +46,9 @@ pub enum FsyncPolicy {
     Never,
     /// Fsync once per apply group (one `Engine::apply` call or one
     /// `Engine::apply_batch` group that inserted a new version), after
-    /// its records are written and before the call returns. Strongest;
-    /// slowest.
+    /// its records are written and before the call returns; also fsync
+    /// the directory after a new WAL segment is created and after a
+    /// checkpoint is renamed into place. Strongest; slowest.
     Always,
 }
 
@@ -314,6 +315,9 @@ impl DurableEngine {
 
         // New writes go to a fresh segment after the replayed ones.
         let writer = SegmentWriter::create(&cfg.dir, next_seq)?;
+        if cfg.fsync == FsyncPolicy::Always {
+            wal::sync_dir(&cfg.dir)?;
+        }
         let engine = DurableEngine {
             mem,
             log: Mutex::new(LogState {
@@ -533,6 +537,17 @@ impl Engine for DurableEngine {
             Ok(fresh) => {
                 let sealed = std::mem::replace(&mut log.writer, fresh);
                 log.closed.push(sealed.close());
+                if sync {
+                    if let Err(e) = wal::sync_dir(&self.cfg.dir) {
+                        // Like a failed WAL fsync: the new segment may not
+                        // survive power loss, so stop claiming it does.
+                        log.wal_failed = true;
+                        eprintln!(
+                            "paris-storage: WAL directory sync failed, durability degraded: {e} ({})",
+                            self.cfg.dir.display()
+                        );
+                    }
+                }
             }
             Err(e) => {
                 eprintln!(
@@ -627,6 +642,36 @@ mod tests {
         assert_eq!(info.replayed_records, 1, "only the post-checkpoint suffix");
         assert_eq!(info.max_recovered(), ts(11));
         assert_eq!(eng.stats().versions, 11);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fsync_always_rotates_and_reopens() {
+        // Under `Always` every segment creation and checkpoint rename
+        // also syncs the directory; two rotations and a reopen must run
+        // cleanly and recover everything.
+        let dir = tmpdir("always-rotate");
+        let cfg = || cfg(&dir).fsync(FsyncPolicy::Always);
+        {
+            let (eng, _) = DurableEngine::open(cfg(), 4).unwrap();
+            assert!(!eng.maybe_checkpoint(ts(1), 0), "arms cadence");
+            for (round, now) in [(0u64, 2_000u64), (1, 4_000)] {
+                for t in round * 10 + 1..=round * 10 + 10 {
+                    eng.apply(Key(t), Value::filled(8, t), ts(t), tx(0, t), DcId(0));
+                }
+                assert!(eng.maybe_checkpoint(ts(round * 10 + 10), now));
+            }
+            eng.apply(Key(99), Value::filled(8, 21), ts(21), tx(0, 21), DcId(0));
+            let stats = eng.durable_stats().unwrap();
+            assert_eq!(stats.checkpoints, 2);
+            assert_eq!(stats.wal_syncs, 21, "one data sync per apply");
+        }
+        let (eng, info) = DurableEngine::open(cfg(), 4).unwrap();
+        assert_eq!(info.ust, ts(20));
+        assert_eq!(info.checkpoint_versions, 20);
+        assert_eq!(info.replayed_records, 1, "only the post-checkpoint suffix");
+        assert_eq!(eng.stats().versions, 21);
+        assert_eq!(eng.latest(Key(99)).unwrap().ut, ts(21));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -267,6 +267,14 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 /// back so a server does not hold its largest group forever.
 const GROUP_RETAIN_BYTES: usize = 4 * 1024;
 
+/// Fsyncs directory `dir`, so that an entry just created or renamed in
+/// it — a new segment, a checkpoint moved into place — survives power
+/// loss, not only the file's data.
+pub fn sync_dir(dir: &Path) -> Result<(), DurableError> {
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
 /// The active (appendable) WAL segment.
 ///
 /// Records are encoded into one reusable group buffer and written to the

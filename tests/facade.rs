@@ -489,7 +489,38 @@ fn cluster_stats_unifies_all_backends() {
                 && second.staged_prepares >= first.staged_prepares,
             "{backend:?}: stats regressed between snapshots"
         );
+        if !matches!(backend, Backend::Mini) {
+            assert!(
+                second.net_messages > 0 && second.net_bytes > 0,
+                "{backend:?}: network traffic missing from stats()"
+            );
+        }
     }
+}
+
+#[test]
+fn thread_backend_at_zero_wan_latency_stays_consistent() {
+    // The benchmark's deployment shape: no injected WAN latency and no
+    // jitter, so every intra-DC message takes the router's inline path
+    // and cross-DC traffic races it through the wheel at 0 µs.
+    let mut cluster = Paris::builder()
+        .dcs(3)
+        .partitions(6)
+        .replication(2)
+        .keys_per_partition(100)
+        .clients_per_dc(2)
+        .uniform_latency_micros(0)
+        .jitter(0.0)
+        .workload(paris::workload::WorkloadConfig::write_heavy())
+        .record_history(true)
+        .seed(31)
+        .build_thread()
+        .unwrap();
+    let report = cluster.run_workload(50_000, 500_000).unwrap();
+    assert!(report.stats.committed > 0, "no progress");
+    assert!(report.violations.is_empty(), "{:#?}", report.violations);
+    let convergence = cluster.check_convergence().unwrap();
+    assert!(convergence.is_empty(), "{convergence:#?}");
 }
 
 #[test]
