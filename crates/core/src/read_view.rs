@@ -29,7 +29,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use paris_proto::{Envelope, Msg, ReadResult};
+use paris_proto::{Endpoint, Envelope, Msg, ReadResult};
 use paris_storage::{Engine, StableFrontier, StaleSnapshot};
 use paris_types::{ClientId, Key, Mode, ServerId, Timestamp, TxId, Version};
 
@@ -46,6 +46,9 @@ pub struct ReadViewStats {
     pub(crate) stale_rejections: AtomicU64,
     /// Transactions started through views (pooled snapshot assignment).
     pub(crate) start_txs: AtomicU64,
+    /// Read-only transactions committed through views (context dropped
+    /// off the server loop).
+    pub(crate) read_only_commits: AtomicU64,
     /// Stabilization child reports folded through views (off-loop
     /// `GstReport` handling).
     pub(crate) gst_reports: AtomicU64,
@@ -77,6 +80,11 @@ impl ReadViewStats {
     /// far.
     pub fn start_txs(&self) -> u64 {
         self.start_txs.load(Ordering::Relaxed)
+    }
+
+    /// Read-only transactions committed through views so far.
+    pub fn read_only_commits(&self) -> u64 {
+        self.read_only_commits.load(Ordering::Relaxed)
     }
 
     /// Stabilization child reports folded through views so far.
@@ -234,6 +242,21 @@ impl ReadView {
         ))
     }
 
+    /// Serves one read-only `CommitReq` (empty write set, Alg. 2) off the
+    /// server loop: drops the transaction's context and returns the
+    /// `CommitResp { ct: 0 }` for its client, or for `src` when the
+    /// transaction is unknown — the very table operation the loop's own
+    /// handler runs, so both paths reply identically.
+    ///
+    /// GC-safe: the context leaves under the lock the `S_old` aggregate
+    /// reads, and a client sends `CommitReq` only after its last
+    /// `ReadResp`, so no slice read of the transaction is still pending.
+    pub fn serve_read_only_commit(&self, tx: TxId, src: Endpoint) -> Envelope {
+        let resp = self.tx_table.commit_read_only(self.id, tx, src);
+        self.stats.read_only_commits.fetch_add(1, Ordering::Relaxed);
+        resp
+    }
+
     /// Folds one `GstReport` (a tree child's stabilization aggregate)
     /// into the shared report table, off the server loop. Folding is
     /// read-only with respect to storage and touches only the dedicated
@@ -311,5 +334,101 @@ impl ReadView {
     /// Returns [`StaleSnapshot`] when the snapshot is already below `S_old`.
     pub fn pin(&self, snapshot: Timestamp) -> Result<paris_storage::ReadGuard, StaleSnapshot> {
         self.frontier.begin_read(snapshot)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use paris_clock::SimClock;
+    use paris_types::{ClusterConfig, DcId, PartitionId};
+
+    use super::*;
+    use crate::{Server, ServerOptions, Topology};
+
+    fn server() -> Server {
+        let topology = Arc::new(Topology::new(
+            ClusterConfig::builder()
+                .dcs(2)
+                .partitions(2)
+                .replication_factor(2)
+                .build()
+                .unwrap(),
+        ));
+        Server::new(ServerOptions {
+            id: ServerId::new(DcId(0), PartitionId(0)),
+            topology,
+            clock: Box::new(SimClock::new()),
+            mode: Mode::Paris,
+            record_events: false,
+        })
+    }
+
+    /// Everything the coordinator table holds, in a comparable order.
+    fn table(s: &Server) -> BTreeMap<TxId, (Timestamp, ClientId, bool, u64)> {
+        s.tx_table
+            .lock()
+            .iter()
+            .map(|(tx, c)| {
+                (
+                    *tx,
+                    (c.snapshot, c.client, c.pending.is_some(), c.started_at),
+                )
+            })
+            .collect()
+    }
+
+    /// The view's read-only commit and the loop's `CommitReq` handler
+    /// with an empty write set give the same reply and leave the same
+    /// transaction table, for a known and for an unknown transaction.
+    #[test]
+    fn view_read_only_commit_matches_the_loop_handler() {
+        let (mut on_loop, mut on_view) = (server(), server());
+        let client = ClientId::new(DcId(0), 7);
+        let stranger = ClientId::new(DcId(0), 8);
+        let mut started = Vec::new();
+        for s in [&mut on_loop, &mut on_view] {
+            let start = Envelope::new(
+                client,
+                s.id(),
+                Msg::StartTxReq {
+                    client_ust: Timestamp::from_physical_micros(5),
+                },
+            );
+            // Two open transactions: commit one, leave the other open.
+            let txs: Vec<TxId> = (0..2)
+                .map(|_| match s.handle(&start, 100).remove(0).msg {
+                    Msg::StartTxResp { tx, .. } => tx,
+                    other => panic!("expected StartTxResp, got {}", other.kind()),
+                })
+                .collect();
+            started.push(txs);
+        }
+        assert_eq!(started[0], started[1]);
+        let known = started[0][0];
+        let unknown = TxId::new(on_loop.id(), 99);
+        let view = on_view.read_view();
+        for tx in [known, unknown] {
+            let req = Envelope::new(
+                stranger,
+                on_loop.id(),
+                Msg::CommitReq {
+                    tx,
+                    hwt: Timestamp::ZERO,
+                    writes: Vec::new(),
+                },
+            );
+            let by_loop = on_loop.handle(&req, 200);
+            let by_view = view.serve_read_only_commit(tx, req.src);
+            assert_eq!(by_loop, vec![by_view.clone()], "{tx}");
+            assert_eq!(table(&on_loop), table(&on_view), "{tx}");
+            let expect_to = if tx == known { client } else { stranger };
+            assert_eq!(by_view.dst, Endpoint::Client(expect_to), "{tx}");
+        }
+        assert_eq!(table(&on_view).len(), 1, "the other transaction stays open");
+        assert_eq!(view.stats().read_only_commits(), 2);
+        assert_eq!(on_loop.read_view().stats().read_only_commits(), 0);
     }
 }

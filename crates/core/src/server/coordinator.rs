@@ -1,8 +1,10 @@
 //! Transaction-coordinator role (paper Algorithm 2).
 //!
 //! Coordinator state lives in the shared [`TxTable`](super::TxTable):
-//! snapshot assignment (`StartTxReq`) may execute on read-pool threads
-//! through [`ReadView::serve_start_tx`](crate::ReadView::serve_start_tx),
+//! snapshot assignment (`StartTxReq`) and read-only commits may execute
+//! on any thread through
+//! [`ReadView::serve_start_tx`](crate::ReadView::serve_start_tx) and
+//! [`ReadView::serve_read_only_commit`](crate::ReadView::serve_read_only_commit),
 //! while the fan-out bookkeeping below still runs exclusively on the
 //! server loop. Each handler takes the table lock once, for a few map
 //! operations.
@@ -177,7 +179,9 @@ impl Server {
     ///
     /// Read-only transactions (empty write set) are finalized immediately:
     /// the context is dropped — releasing its snapshot from the GC
-    /// aggregate — and the client gets `ct = 0`.
+    /// aggregate — and the client gets `ct = 0`. That branch is the shared
+    /// table's, so [`ReadView::serve_read_only_commit`](crate::ReadView::serve_read_only_commit)
+    /// serves it identically off the loop.
     pub(super) fn on_commit_req(
         &mut self,
         env: &Envelope,
@@ -186,6 +190,9 @@ impl Server {
         writes: &[WriteSetEntry],
         _now: u64,
     ) -> Vec<Envelope> {
+        if writes.is_empty() {
+            return vec![self.tx_table.commit_read_only(self.id, tx, env.src)];
+        }
         let mut ctxs = self.tx_table.lock();
         let Some(ctx) = ctxs.get(&tx) else {
             return vec![Envelope::new(
@@ -202,17 +209,6 @@ impl Server {
         // ht: the max timestamp seen by the client (Alg. 2 line 19).
         let snapshot = ctx.snapshot;
         let client = ctx.client;
-        if writes.is_empty() {
-            ctxs.remove(&tx);
-            return vec![Envelope::new(
-                self.id,
-                client,
-                Msg::CommitResp {
-                    tx,
-                    ct: Timestamp::ZERO,
-                },
-            )];
-        }
         let ht = snapshot.max(hwt);
 
         // Group writes by partition (Alg. 2 line 20).

@@ -1,9 +1,10 @@
 //! The shared coordinator transaction table.
 //!
 //! PaRiS snapshot assignment (Alg. 2 lines 1–5) is read-only with respect
-//! to storage — it reads the published UST — so the runtime may serve
-//! `StartTxReq` from read-pool threads, off the server loop. What it does
-//! mutate is coordinator bookkeeping: the fresh transaction id and the
+//! to storage — it reads the published UST — and so is a read-only
+//! commit, which only drops the context, so the runtime may serve both
+//! on any thread, off the server loop. What they do mutate is
+//! coordinator bookkeeping: the fresh transaction id and the
 //! `TX[id_T]` context every later operation of the transaction looks up.
 //! This table is that bookkeeping, shared (via `Arc`) between the server
 //! state machine and its [`ReadView`](crate::ReadView)s:
@@ -33,6 +34,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use paris_proto::{Endpoint, Envelope, Msg};
 use paris_storage::StableFrontier;
 use paris_types::{ClientId, ServerId, Timestamp, TxId};
 
@@ -103,6 +105,30 @@ impl TxTable {
             },
         );
         tx
+    }
+
+    /// Finalizes a read-only transaction (`CommitReq` with an empty write
+    /// set, Alg. 2): drops its context — releasing its snapshot from the
+    /// `S_old` aggregate, under the lock
+    /// [`TxTable::oldest_active_snapshot`] takes — and returns the
+    /// `CommitResp { ct: 0 }` from `id` to the context's client, or to
+    /// `src` when the transaction is unknown (e.g. expired). Safe to call
+    /// from any thread: the server loop and read views share it.
+    pub(crate) fn commit_read_only(&self, id: ServerId, tx: TxId, src: Endpoint) -> Envelope {
+        let ctx = self.lock().remove(&tx);
+        debug_assert!(
+            ctx.as_ref().is_none_or(|ctx| ctx.pending.is_none()),
+            "client issued overlapping ops"
+        );
+        let to = ctx.map_or(src, |ctx| Endpoint::Client(ctx.client));
+        Envelope::new(
+            id,
+            to,
+            Msg::CommitResp {
+                tx,
+                ct: Timestamp::ZERO,
+            },
+        )
     }
 
     /// The oldest snapshot among transactions coordinated here, or the

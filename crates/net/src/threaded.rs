@@ -24,6 +24,18 @@
 //! alone would not produce — a foreground message overtaking a background
 //! frame already flushed into the wheel on the same link — is one the
 //! coalescer already produces by holding background frames back.
+//!
+//! **Inline read serving.** A read-path envelope (see
+//! [`Envelope::pool_path`]) delivered inline is served on the sending
+//! thread too, by the read server the runtime installs with
+//! [`Router::set_read_server`], instead of crossing to a read-pool lane:
+//! a slice read, a snapshot assignment or a read-only commit is served
+//! from the destination's published state before `send` returns. The
+//! wheel's deliveries — all cross-DC traffic and coalesced gossip — keep
+//! feeding the read tap's lanes. Since a server may take a server mutex
+//! (a stale-snapshot read is punted to the server state machine), **no
+//! thread may call [`NetHandle::send`] while holding a server mutex or
+//! the registry lock**; the router calls the server with no lock held.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
@@ -36,7 +48,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 
 use paris_proto::wire::encoded_len_with;
-use paris_proto::{Endpoint, Envelope, Msg};
+use paris_proto::{Endpoint, Envelope, PoolPath};
 use paris_types::{BatchConfig, DcId, WireFormat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -168,10 +180,16 @@ fn link_key(a: DcId, b: DcId) -> (DcId, DcId) {
     }
 }
 
+/// Serves one read-path envelope on the thread that delivers it (see
+/// [`Router::set_read_server`]).
+type ReadServer = Arc<dyn Fn(Envelope) + Send + Sync>;
+
 struct Registry {
     inboxes: HashMap<Endpoint, Sender<Envelope>>,
     read_tap: Option<Tap>,
     write_tap: Option<Tap>,
+    /// Serves inline-delivered read-path envelopes on the sending thread.
+    read_server: Option<ReadServer>,
     /// Bumped on every tap install and every lane prune. Deliveries run
     /// concurrently (the wheel and every inline sender), so a delivery
     /// whose lane send failed prunes only if the tap is still the one it
@@ -181,24 +199,87 @@ struct Registry {
 }
 
 impl Registry {
-    fn tap(&mut self, kind: TapKind) -> &mut Option<Tap> {
-        match kind {
-            TapKind::Read => &mut self.read_tap,
-            TapKind::Write => &mut self.write_tap,
+    fn tap(&mut self, path: PoolPath) -> &mut Option<Tap> {
+        match path {
+            PoolPath::Read => &mut self.read_tap,
+            PoolPath::Write => &mut self.write_tap,
         }
+    }
+
+    /// Where `env` goes: an inline read-path delivery to a registered
+    /// server goes to the read server when one is installed; tapped
+    /// traffic goes to a lane of its path's tap — round-robin on the read
+    /// path, keyed by source on the write path, so all traffic of one
+    /// source stays FIFO on one lane (the ordering the commit and
+    /// replication handlers rely on); everything else goes to the
+    /// destination inbox.
+    fn route(&mut self, env: &Envelope, inline: bool) -> Route {
+        let path = env.pool_path();
+        if inline && path == Some(PoolPath::Read) {
+            if let Some(server) = &self.read_server {
+                if self.inboxes.contains_key(&env.dst) {
+                    return Route::Serve(Arc::clone(server));
+                }
+            }
+        }
+        if let Some(path) = path {
+            if let Some(tap) = self.tap(path).as_mut() {
+                let idx = match path {
+                    PoolPath::Read => {
+                        let idx = tap.next % tap.lanes.len();
+                        tap.next = tap.next.wrapping_add(1);
+                        idx
+                    }
+                    PoolPath::Write => (env.src.route_key() as usize) % tap.lanes.len(),
+                };
+                return Route::Lane {
+                    path,
+                    epoch: tap.epoch,
+                    idx,
+                    lane: tap.lanes[idx].clone(),
+                };
+            }
+        }
+        match self.inboxes.get(&env.dst) {
+            Some(inbox) => Route::Inbox(inbox.clone()),
+            None => Route::Drop,
+        }
+    }
+
+    /// Removes lane `idx` of the `path` tap after a failed send, unless
+    /// the tap changed since the lane was picked (epoch mismatch). The tap
+    /// uninstalls when its last lane goes.
+    fn prune(&mut self, path: PoolPath, epoch: u64, idx: usize) {
+        let next_epoch = self.tap_epoch + 1;
+        let slot = self.tap(path);
+        let Some(tap) = slot.as_mut().filter(|tap| tap.epoch == epoch) else {
+            return;
+        };
+        tap.lanes.remove(idx);
+        tap.epoch = next_epoch;
+        if tap.lanes.is_empty() {
+            *slot = None;
+        }
+        self.tap_epoch = next_epoch;
     }
 }
 
-/// Which pool a tapped delivery feeds (see [`Router::set_read_tap`] and
-/// [`Router::set_write_tap`]).
-#[derive(Debug, Clone, Copy)]
-enum TapKind {
-    /// Round-robin over read-pool lanes.
-    Read,
-    /// Source-keyed: the lane is a pure function of the envelope's
-    /// source, so all traffic of one source stays FIFO on one lane — the
-    /// ordering the commit and replication handlers rely on.
-    Write,
+/// One delivery's destination, resolved under a single registry lock and
+/// acted on after it is released.
+enum Route {
+    /// The installed read server, called on the delivering thread.
+    Serve(ReadServer),
+    /// Lane `idx` of the `path` tap as installed at `epoch`.
+    Lane {
+        path: PoolPath,
+        epoch: u64,
+        idx: usize,
+        lane: Sender<Envelope>,
+    },
+    /// The destination's inbox.
+    Inbox(Sender<Envelope>),
+    /// An unregistered destination: the envelope is dropped.
+    Drop,
 }
 
 /// Fan-out of one path's server-bound deliveries into pool lanes.
@@ -302,7 +383,8 @@ impl InlinePath {
     }
 
     /// Counts `env`, waits out its delay and delivers it, all on the
-    /// calling thread. The delay is a few µs, far below the sleep
+    /// calling thread — a read-path envelope through the installed read
+    /// server, if any. The delay is a few µs, far below the sleep
     /// granularity, so the wait spins.
     fn send(&self, env: Envelope, base: f64, sent_at: Instant) {
         self.counters.record(&env, self.wire);
@@ -313,7 +395,7 @@ impl InlinePath {
         while Instant::now() < due {
             std::hint::spin_loop();
         }
-        deliver(&self.registry, env);
+        deliver(&self.registry, env, true);
     }
 }
 
@@ -398,6 +480,7 @@ impl Router {
             inboxes: HashMap::new(),
             read_tap: None,
             write_tap: None,
+            read_server: None,
             tap_epoch: 0,
         }));
         let (wheel_tx, wheel_rx) = channel::<WheelCmd>();
@@ -467,13 +550,16 @@ impl Router {
     }
 
     /// Installs the read tap: from now on, read-path envelopes bound for
-    /// *server* endpoints — `ReadSliceReq` slice reads, `StartTxReq`
-    /// snapshot assignments, unbatched `GstReport` stabilization
-    /// reports and whole coalesced `GossipDigest`s, all served against
-    /// shared (lock-free or table-folded) state — are delivered
-    /// round-robin into `lanes` (after their normal link latency)
-    /// instead of the destination inbox; the runtime's read-thread pool
-    /// drains the lanes and serves them off the server loop. All other
+    /// *server* endpoints ([`PoolPath::Read`]: `ReadSliceReq` slice
+    /// reads, `StartTxReq` snapshot assignments, read-only `CommitReq`s,
+    /// unbatched `GstReport` stabilization reports and whole coalesced
+    /// `GossipDigest`s, all served against shared (lock-free or
+    /// table-folded) state) are delivered round-robin into `lanes` (after
+    /// their normal link latency) instead of the destination inbox; the
+    /// runtime's read-thread pool drains the lanes and serves them off
+    /// the server loop. An inline delivery goes to the read server
+    /// instead when one is installed ([`Router::set_read_server`]), so
+    /// the lanes then see only the wheel's read-path traffic. All other
     /// traffic is unaffected. A lane that has shut down is
     /// pruned from the tap on first failed delivery (the tap uninstalls
     /// itself when the last lane goes), and the envelope is retried on the
@@ -481,37 +567,57 @@ impl Router {
     /// is ever lost and dead lanes are not paid for again. Passing an
     /// empty vector uninstalls the tap.
     pub fn set_read_tap(&self, lanes: Vec<Sender<Envelope>>) {
-        self.install_tap(TapKind::Read, lanes);
+        self.install_tap(PoolPath::Read, lanes);
     }
 
     /// Installs the write tap: from now on, write-path envelopes bound
-    /// for *server* endpoints — `PrepareReq`, `CommitTx`, `Replicate`,
-    /// `ReplicateBatch` and `Heartbeat` — are delivered (after their
-    /// normal link latency) into `lanes[source.route_key() % lanes]`
-    /// instead of the destination inbox; the runtime's write-thread pool
-    /// drains the lanes and runs the store-touching half of each off the
-    /// server loop. Routing is **source-keyed**, never round-robin: a
-    /// `CommitTx` must trail its `PrepareReq` and a watermark its
-    /// applies, and per-src FIFO on one lane preserves exactly that.
-    /// (Coalesced gossip — `GossipDigest` — carries loop-owned
-    /// components and is never tapped.) Dead lanes are pruned like the
-    /// read tap's — the envelope re-routes by the shrunken lane set, and
+    /// for *server* endpoints ([`PoolPath::Write`]: `PrepareReq`,
+    /// `CommitTx`, `Replicate`, `ReplicateBatch` and `Heartbeat`) are
+    /// delivered (after their normal link latency) into
+    /// `lanes[source.route_key() % lanes]` instead of the destination
+    /// inbox; the runtime's write-thread pool drains the lanes and runs
+    /// the store-touching half of each off the server loop. Routing is
+    /// **source-keyed**, never round-robin: a `CommitTx` must trail its
+    /// `PrepareReq` and a watermark its applies, and per-src FIFO on one
+    /// lane preserves exactly that. (Coalesced gossip — `GossipDigest` —
+    /// is read-path and never write-tapped.) Dead lanes are pruned like
+    /// the read tap's — the envelope re-routes by the shrunken lane set, and
     /// when the last lane dies the tap uninstalls and traffic falls back
     /// to the server inboxes. Passing an empty vector uninstalls the
     /// tap.
     pub fn set_write_tap(&self, lanes: Vec<Sender<Envelope>>) {
-        self.install_tap(TapKind::Write, lanes);
+        self.install_tap(PoolPath::Write, lanes);
     }
 
-    fn install_tap(&self, kind: TapKind, lanes: Vec<Sender<Envelope>>) {
+    fn install_tap(&self, path: PoolPath, lanes: Vec<Sender<Envelope>>) {
         let mut reg = self.registry.lock().expect("registry poisoned");
         reg.tap_epoch += 1;
         let epoch = reg.tap_epoch;
-        *reg.tap(kind) = (!lanes.is_empty()).then_some(Tap {
+        *reg.tap(path) = (!lanes.is_empty()).then_some(Tap {
             lanes,
             next: 0,
             epoch,
         });
+    }
+
+    /// Installs the read server: from now on, a read-path envelope
+    /// ([`PoolPath::Read`]) that [`NetHandle::send`] delivers inline to a
+    /// registered server is handed to `server` on the sending thread,
+    /// before `send` returns, instead of to a read-tap lane or the inbox.
+    /// Wheel deliveries are unaffected and keep feeding the read tap. The
+    /// router calls `server` with no lock held; it may send (its replies
+    /// re-enter the router) and may take a server mutex, which is why no
+    /// thread may send while holding one (see the module docs).
+    /// Replaces any server installed before; [`Router`]'s drop removes it,
+    /// which breaks the cycle of a server that holds a [`NetHandle`].
+    pub fn set_read_server(&self, server: impl Fn(Envelope) + Send + Sync + 'static) {
+        // The replaced server is dropped after the lock is released.
+        let _replaced = self
+            .registry
+            .lock()
+            .expect("registry poisoned")
+            .read_server
+            .replace(Arc::new(server));
     }
 }
 
@@ -524,11 +630,15 @@ impl Drop for Router {
         // Handles outlive the router and still reach the registry through
         // the inline path: empty it, so inline sends after teardown are
         // dropped like wheel sends and every inbox sees its disconnect.
-        if let Ok(mut reg) = self.registry.lock() {
+        // The read server typically holds a handle, which holds the
+        // registry, which holds the server: removing it breaks that cycle.
+        // It is dropped after the lock is released.
+        let _server = self.registry.lock().ok().and_then(|mut reg| {
             reg.inboxes.clear();
             reg.read_tap = None;
             reg.write_tap = None;
-        }
+            reg.read_server.take()
+        });
     }
 }
 
@@ -656,93 +766,41 @@ impl WheelState {
     }
 }
 
-/// Delivers one due envelope: read-tapped traffic (server-bound
-/// `ReadSliceReq`/`StartTxReq`/`GstReport`/`GossipDigest`) goes to a
-/// read-pool lane, write-tapped traffic to a write-pool lane, the rest
-/// to the destination inbox. Called by the wheel and by inline senders,
-/// concurrently.
-fn deliver(registry: &Arc<Mutex<Registry>>, env: Envelope) {
-    let env = match tap_kind(&env) {
-        Some(kind) => match offer_to_tap(registry, kind, env) {
-            Some(env) => env,
-            None => return,
-        },
-        None => env,
-    };
-    let inbox = {
-        let reg = registry.lock().expect("registry poisoned");
-        reg.inboxes.get(&env.dst).cloned()
-    };
-    if let Some(tx) = inbox {
-        let _ = tx.send(env);
-    }
-}
-
-/// The tap `env` belongs to, if any: only server-bound traffic is tapped.
-fn tap_kind(env: &Envelope) -> Option<TapKind> {
-    if !matches!(env.dst, Endpoint::Server(_)) {
-        return None;
-    }
-    match env.msg {
-        Msg::ReadSliceReq { .. }
-        | Msg::StartTxReq { .. }
-        | Msg::GstReport { .. }
-        | Msg::GossipDigest { .. } => Some(TapKind::Read),
-        Msg::PrepareReq { .. }
-        | Msg::CommitTx { .. }
-        | Msg::Replicate { .. }
-        | Msg::ReplicateBatch { .. }
-        | Msg::Heartbeat { .. } => Some(TapKind::Write),
-        _ => None,
-    }
-}
-
-/// Sends `env` into a lane of the `kind` tap. Only the lane sender is
-/// cloned under the registry lock. A lane whose receiver is gone is
-/// pruned (the tap uninstalls when its last lane goes) and the envelope
-/// is retried on the survivors, so later deliveries never pay for a dead
-/// lane again. Returns the envelope when no tap is installed, for the
-/// inbox fallback.
-fn offer_to_tap(
-    registry: &Arc<Mutex<Registry>>,
-    kind: TapKind,
-    mut env: Envelope,
-) -> Option<Envelope> {
+/// Delivers one envelope: an inline read-path delivery to the read
+/// server, tapped traffic (see [`Envelope::pool_path`]) to a pool lane,
+/// the rest to the destination inbox. Called by the wheel and by inline
+/// senders, concurrently. The registry lock is taken once to resolve the
+/// route and released before the envelope moves on. A lane whose receiver
+/// is gone is pruned and the envelope re-routed, so no request is lost
+/// and later deliveries never pay for a dead lane again.
+fn deliver(registry: &Mutex<Registry>, mut env: Envelope, inline: bool) {
     loop {
-        let picked = {
-            let mut reg = registry.lock().expect("registry poisoned");
-            reg.tap(kind).as_mut().map(|tap| {
-                let idx = match kind {
-                    TapKind::Read => {
-                        let idx = tap.next % tap.lanes.len();
-                        tap.next = tap.next.wrapping_add(1);
-                        idx
-                    }
-                    TapKind::Write => (env.src.route_key() as usize) % tap.lanes.len(),
-                };
-                (tap.epoch, idx, tap.lanes[idx].clone())
-            })
-        };
-        let Some((epoch, idx, lane)) = picked else {
-            return Some(env);
-        };
-        match lane.send(env) {
-            Ok(()) => return None,
-            Err(std::sync::mpsc::SendError(returned)) => {
-                env = returned;
-                let mut reg = registry.lock().expect("registry poisoned");
-                let next_epoch = reg.tap_epoch + 1;
-                let slot = reg.tap(kind);
-                let Some(tap) = slot.as_mut().filter(|tap| tap.epoch == epoch) else {
-                    continue;
-                };
-                tap.lanes.remove(idx);
-                tap.epoch = next_epoch;
-                if tap.lanes.is_empty() {
-                    *slot = None;
-                }
-                reg.tap_epoch = next_epoch;
+        let route = registry
+            .lock()
+            .expect("registry poisoned")
+            .route(&env, inline);
+        match route {
+            Route::Serve(server) => return server(env),
+            Route::Inbox(inbox) => {
+                let _ = inbox.send(env);
+                return;
             }
+            Route::Drop => return,
+            Route::Lane {
+                path,
+                epoch,
+                idx,
+                lane,
+            } => match lane.send(env) {
+                Ok(()) => return,
+                Err(std::sync::mpsc::SendError(returned)) => {
+                    env = returned;
+                    registry
+                        .lock()
+                        .expect("registry poisoned")
+                        .prune(path, epoch, idx);
+                }
+            },
         }
     }
 }
@@ -780,7 +838,7 @@ fn wheel_loop(
         let now = Instant::now();
         while wheel.heap.peek().is_some_and(|Reverse(p)| p.due <= now) {
             let Reverse(p) = wheel.heap.pop().expect("peeked");
-            deliver(&registry, p.env);
+            deliver(&registry, p.env, false);
         }
         if shutting_down && wheel.heap.is_empty() && coalescer.pending_links() == 0 {
             return;
@@ -1446,6 +1504,126 @@ mod tests {
         let got = w_lane.try_recv().expect("prepare tapped inline");
         assert!(matches!(got.msg, Msg::PrepareReq { .. }));
         assert!(inbox.recv_timeout(Duration::from_millis(50)).is_err());
+    }
+
+    fn commit_req(tx_seq: u64, writes: Vec<paris_types::WriteSetEntry>) -> Msg {
+        Msg::CommitReq {
+            tx: paris_types::TxId::new(ServerId::new(DcId(0), PartitionId(0)), tx_seq),
+            hwt: Timestamp::ZERO,
+            writes,
+        }
+    }
+
+    /// A read server that records what it was handed, and on which thread.
+    fn recording_server(router: &Router) -> Arc<Mutex<Vec<(Msg, std::thread::ThreadId)>>> {
+        let served = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&served);
+        router.set_read_server(move |env: Envelope| {
+            log.lock()
+                .unwrap()
+                .push((env.msg, std::thread::current().id()));
+        });
+        served
+    }
+
+    #[test]
+    fn read_server_serves_inline_read_path_on_the_sender() {
+        let router = Router::start(ThreadedNetConfig::fast(2));
+        let client = ClientId::new(DcId(0), 3);
+        let coord = ServerId::new(DcId(0), PartitionId(0));
+        let cohort = ServerId::new(DcId(0), PartitionId(1));
+        let inbox = router.register(coord);
+        router.register(cohort);
+        let (r_tx, r_lane) = std::sync::mpsc::channel();
+        router.set_read_tap(vec![r_tx]);
+        let served = recording_server(&router);
+        let h = router.handle();
+        let read_path = [
+            (
+                Endpoint::from(client),
+                coord,
+                Msg::StartTxReq {
+                    client_ust: Timestamp::ZERO,
+                },
+            ),
+            (coord.into(), cohort, read_req(1)),
+            (client.into(), coord, commit_req(1, Vec::new())),
+        ];
+        for (i, (src, dst, msg)) in read_path.into_iter().enumerate() {
+            h.send(Envelope::new(src, dst, msg.clone()));
+            let served = served.lock().unwrap();
+            assert_eq!(served.len(), i + 1, "served before send returned");
+            assert_eq!(served[i], (msg, std::thread::current().id()));
+        }
+        // A commit with writes is loop work: it reaches the inbox.
+        let writes = vec![paris_types::WriteSetEntry::new(
+            paris_types::Key(1),
+            paris_types::Value::from("x"),
+        )];
+        h.send(Envelope::new(client, coord, commit_req(2, writes)));
+        let got = inbox
+            .try_recv()
+            .expect("commit with writes delivered inline");
+        assert!(matches!(got.msg, Msg::CommitReq { .. }));
+        assert!(r_lane.try_recv().is_err(), "no read lane was fed");
+        assert_eq!(served.lock().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn read_server_leaves_wheel_reads_to_the_read_tap() {
+        let router = Router::start(ThreadedNetConfig::fast(2));
+        let a = ServerId::new(DcId(0), PartitionId(0));
+        let remote = ServerId::new(DcId(1), PartitionId(0));
+        let inbox = router.register(remote);
+        let (r_tx, r_lane) = std::sync::mpsc::channel();
+        router.set_read_tap(vec![r_tx]);
+        let served = recording_server(&router);
+        router.handle().send(Envelope::new(a, remote, read_req(1)));
+        let got = r_lane
+            .recv_timeout(Duration::from_secs(2))
+            .expect("cross-DC read tapped");
+        assert!(matches!(got.msg, Msg::ReadSliceReq { .. }));
+        assert!(served.lock().unwrap().is_empty());
+        assert!(inbox.try_recv().is_err());
+    }
+
+    #[test]
+    fn read_tap_takes_inline_read_only_commits_without_a_read_server() {
+        let router = Router::start(ThreadedNetConfig::fast(2));
+        let client = ClientId::new(DcId(0), 3);
+        let coord = ServerId::new(DcId(0), PartitionId(0));
+        let inbox = router.register(coord);
+        let (r_tx, r_lane) = std::sync::mpsc::channel();
+        router.set_read_tap(vec![r_tx]);
+        router
+            .handle()
+            .send(Envelope::new(client, coord, commit_req(1, Vec::new())));
+        let got = r_lane.try_recv().expect("read-only commit tapped inline");
+        assert!(matches!(got.msg, Msg::CommitReq { .. }));
+        assert!(inbox.try_recv().is_err());
+    }
+
+    #[test]
+    fn dropping_the_router_drops_the_read_server() {
+        struct Sentinel(Arc<std::sync::atomic::AtomicBool>);
+        impl Drop for Sentinel {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let router = Router::start(ThreadedNetConfig::fast(2));
+        // The server holds a handle back into the router's registry, as
+        // the runtime's does: only the router's drop can break the cycle.
+        let sentinel = Sentinel(Arc::clone(&dropped));
+        let net = router.handle();
+        router.set_read_server(move |env: Envelope| {
+            let _ = &sentinel;
+            net.send(env);
+        });
+        assert!(!dropped.load(Ordering::SeqCst));
+        drop(router);
+        assert!(dropped.load(Ordering::SeqCst), "read server leaked");
     }
 
     #[test]

@@ -34,4 +34,4 @@ pub mod wire;
 pub mod wire2;
 
 pub use ctrl::{Ctrl, ServerSnapshot, SnapshotCounters};
-pub use messages::{DigestReport, Endpoint, Envelope, Msg, ReadResult, ReplicatedTx};
+pub use messages::{DigestReport, Endpoint, Envelope, Msg, PoolPath, ReadResult, ReplicatedTx};

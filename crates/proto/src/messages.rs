@@ -86,6 +86,42 @@ impl Envelope {
             msg,
         }
     }
+
+    /// The server-side pool that may serve this envelope off the server
+    /// loop, if any. Only server-bound traffic qualifies. The one
+    /// classifier behind the in-process router's taps and the socket
+    /// child's demux, so both backends divert exactly the same set.
+    pub fn pool_path(&self) -> Option<PoolPath> {
+        if !matches!(self.dst, Endpoint::Server(_)) {
+            return None;
+        }
+        match &self.msg {
+            Msg::ReadSliceReq { .. }
+            | Msg::StartTxReq { .. }
+            | Msg::GstReport { .. }
+            | Msg::GossipDigest { .. } => Some(PoolPath::Read),
+            Msg::CommitReq { writes, .. } if writes.is_empty() => Some(PoolPath::Read),
+            Msg::PrepareReq { .. }
+            | Msg::CommitTx { .. }
+            | Msg::Replicate { .. }
+            | Msg::ReplicateBatch { .. }
+            | Msg::Heartbeat { .. } => Some(PoolPath::Write),
+            _ => None,
+        }
+    }
+}
+
+/// Which pool carries a server-bound message off the server loop (see
+/// [`Envelope::pool_path`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PoolPath {
+    /// Served from published state through a `ReadView`: slice reads,
+    /// snapshot assignments, read-only commits and stabilization folds.
+    /// Any thread may serve them, in any order.
+    Read,
+    /// The store-touching write path: prepares, commit decisions,
+    /// replication frames and heartbeats. Must stay FIFO per source.
+    Write,
 }
 
 /// Per-key outcome of a slice read: the key may have no version visible in
@@ -433,6 +469,45 @@ mod tests {
         };
         assert_eq!(rr.kind(), "ReadReq");
         assert!(!rr.is_background());
+    }
+
+    #[test]
+    fn pool_path_splits_server_bound_traffic() {
+        let s = ServerId::new(DcId(0), PartitionId(0));
+        let c = ClientId::new(DcId(0), 1);
+        let tx = TxId::new(s, 1);
+        let commit = |writes| Msg::CommitReq {
+            tx,
+            hwt: Timestamp::ZERO,
+            writes,
+        };
+        let start = Msg::StartTxReq {
+            client_ust: Timestamp::ZERO,
+        };
+        let hb = Msg::Heartbeat {
+            partition: PartitionId(0),
+            watermark: Timestamp::ZERO,
+        };
+        let path = |src: Endpoint, dst: Endpoint, msg| Envelope { src, dst, msg }.pool_path();
+        assert_eq!(
+            path(c.into(), s.into(), start.clone()),
+            Some(PoolPath::Read)
+        );
+        assert_eq!(
+            path(c.into(), s.into(), commit(vec![])),
+            Some(PoolPath::Read)
+        );
+        assert_eq!(path(s.into(), s.into(), hb.clone()), Some(PoolPath::Write));
+        // A commit with writes runs 2PC on the loop.
+        let writes = vec![WriteSetEntry::new(Key(1), Value::from("x"))];
+        assert_eq!(path(c.into(), s.into(), commit(writes)), None);
+        assert_eq!(
+            path(s.into(), s.into(), Msg::ReadReq { tx, keys: vec![] }),
+            None
+        );
+        // Client-bound traffic is never pooled.
+        assert_eq!(path(s.into(), c.into(), start), None);
+        assert_eq!(path(s.into(), c.into(), hb), None);
     }
 
     #[test]

@@ -27,17 +27,13 @@ use paris_workload::{WorkloadConfig, WorkloadGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One read-pool thread: drains its lane of tapped `ReadSliceReq`s,
-/// `StartTxReq`s and unbatched `GstReport`s and serves each through the
-/// destination server's [`ReadView`] — Alg. 3 slice reads, Alg. 2
-/// snapshot assignment and Alg. 4 child-report folds, all executed
-/// entirely off the server loop. A read whose snapshot
-/// fell below `S_old` (possible only for reads that raced a GC advance)
-/// is punted to the authoritative server state machine. `service_micros`
-/// models per-read storage/CPU occupancy (see
-/// [`crate::ClusterBuilder::read_service_micros`]); starts are pure
-/// admission work and are not charged it — the sim models their (small)
-/// fixed cost separately.
+/// One read-pool thread: drains its lane of tapped read-path envelopes
+/// ([`PoolPath::Read`](paris_proto::PoolPath::Read)) and serves each with
+/// [`serve_read`], off the server loop. On the thread backend the lanes
+/// carry what the delay wheel delivers (cross-DC reads, coalesced gossip),
+/// plus every read-path envelope when read occupancy is modelled; the
+/// inline read server takes the rest on the sending thread. On the socket
+/// backend they carry all of it.
 pub(crate) fn read_pool_loop(
     lane: Receiver<Envelope>,
     views: HashMap<ServerId, ReadView>,
@@ -47,77 +43,9 @@ pub(crate) fn read_pool_loop(
     stop: Arc<AtomicBool>,
     service_micros: u64,
 ) {
-    let punt = |env: &Envelope, sid: ServerId| {
-        let out = {
-            let mut server = servers[&sid].lock().expect("server poisoned");
-            server.handle(env, clock.now_micros())
-        };
-        for e in out {
-            send(e);
-        }
-    };
     loop {
         match lane.recv_timeout(Duration::from_millis(100)) {
-            Ok(env) => {
-                let paris_proto::Endpoint::Server(sid) = env.dst else {
-                    debug_assert!(false, "read tap delivered a client-bound envelope");
-                    continue;
-                };
-                match env.msg {
-                    paris_proto::Msg::ReadSliceReq {
-                        tx,
-                        snapshot,
-                        ref keys,
-                        reply_to,
-                    } => {
-                        if service_micros > 0 {
-                            std::thread::sleep(Duration::from_micros(service_micros));
-                        }
-                        match views[&sid].serve_slice(tx, snapshot, keys, reply_to) {
-                            Ok(resp) => send(resp),
-                            Err(_) => punt(&env, sid),
-                        }
-                    }
-                    paris_proto::Msg::StartTxReq { client_ust } => {
-                        let paris_proto::Endpoint::Client(client) = env.src else {
-                            debug_assert!(false, "StartTxReq from a server");
-                            continue;
-                        };
-                        match views[&sid].serve_start_tx(client, client_ust, clock.now_micros()) {
-                            Some(resp) => send(resp),
-                            // BPR view (cannot happen: pools are PaRiS-
-                            // only): the loop owns the HLC.
-                            None => punt(&env, sid),
-                        }
-                    }
-                    paris_proto::Msg::GstReport {
-                        partition,
-                        ref mins,
-                        oldest_active,
-                    } => {
-                        // A tree child's stabilization aggregate: folded
-                        // into the shared report table off the loop (no
-                        // reply traffic). The parent's next ∆G tick reads
-                        // the fold.
-                        views[&sid].serve_gst_report(partition, mins, oldest_active);
-                    }
-                    paris_proto::Msg::GossipDigest {
-                        ref reports,
-                        ref roots,
-                        ust,
-                        frames,
-                    } => {
-                        // A whole coalesced gossip digest: every component
-                        // folds into shared tables (child reports, DC
-                        // roots) or the lock-free frontier, so the digest
-                        // never queues behind commits on the server loop.
-                        views[&sid].serve_gossip_digest(reports, roots, ust, frames);
-                    }
-                    // The tap only diverts read-path messages; anything
-                    // else is handed to the owning server untouched.
-                    _ => punt(&env, sid),
-                }
-            }
+            Ok(env) => serve_read(env, &views, &servers, &send, &clock, service_micros),
             Err(RecvTimeoutError::Timeout) => {
                 if stop.load(Ordering::Relaxed) {
                     return;
@@ -128,19 +56,97 @@ pub(crate) fn read_pool_loop(
     }
 }
 
-/// True when `env` is a write-path message the write pool may carry:
-/// prepares, commit decisions, replication frames and heartbeats bound
-/// for a server. Shared by the in-process router tap and the socket
-/// child's demux so the two backends divert exactly the same set.
-pub(crate) fn is_write_path(env: &Envelope) -> bool {
-    matches!(
-        env.msg,
-        paris_proto::Msg::PrepareReq { .. }
-            | paris_proto::Msg::CommitTx { .. }
-            | paris_proto::Msg::Replicate { .. }
-            | paris_proto::Msg::ReplicateBatch { .. }
-            | paris_proto::Msg::Heartbeat { .. }
-    ) && matches!(env.dst, paris_proto::Endpoint::Server(_))
+/// Serves one read-path envelope through the destination server's
+/// [`ReadView`] — Alg. 3 slice reads, Alg. 2 snapshot assignment and
+/// read-only commits, Alg. 4 child-report and gossip-digest folds — all
+/// entirely off the server loop. A read whose snapshot fell below `S_old`
+/// (possible only for reads that raced a GC advance) is punted to the
+/// authoritative server state machine, and so is anything that is not
+/// read-path. `service_micros` models per-read storage/CPU occupancy (see
+/// [`crate::ClusterBuilder::read_service_micros`]); starts and commits
+/// are pure admission work and are not charged it — the sim models their
+/// (small) fixed cost separately.
+///
+/// The read pool and the thread backend's inline read server both call
+/// this, so every substrate serves the read path through one function.
+/// Replies leave through `send` with no lock held.
+pub(crate) fn serve_read(
+    env: Envelope,
+    views: &HashMap<ServerId, ReadView>,
+    servers: &HashMap<ServerId, Arc<Mutex<Server>>>,
+    send: &impl Fn(Envelope),
+    clock: &impl PhysicalClock,
+    service_micros: u64,
+) {
+    let paris_proto::Endpoint::Server(sid) = env.dst else {
+        debug_assert!(false, "read path delivered a client-bound envelope");
+        return;
+    };
+    let punt = || {
+        let out = {
+            let mut server = servers[&sid].lock().expect("server poisoned");
+            server.handle(&env, clock.now_micros())
+        };
+        for e in out {
+            send(e);
+        }
+    };
+    match env.msg {
+        paris_proto::Msg::ReadSliceReq {
+            tx,
+            snapshot,
+            ref keys,
+            reply_to,
+        } => {
+            if service_micros > 0 {
+                std::thread::sleep(Duration::from_micros(service_micros));
+            }
+            match views[&sid].serve_slice(tx, snapshot, keys, reply_to) {
+                Ok(resp) => send(resp),
+                Err(_) => punt(),
+            }
+        }
+        paris_proto::Msg::StartTxReq { client_ust } => {
+            let paris_proto::Endpoint::Client(client) = env.src else {
+                debug_assert!(false, "StartTxReq from a server");
+                return;
+            };
+            match views[&sid].serve_start_tx(client, client_ust, clock.now_micros()) {
+                Some(resp) => send(resp),
+                // BPR view (cannot happen: pools are PaRiS-only): the
+                // loop owns the HLC.
+                None => punt(),
+            }
+        }
+        paris_proto::Msg::CommitReq { tx, ref writes, .. } if writes.is_empty() => {
+            send(views[&sid].serve_read_only_commit(tx, env.src));
+        }
+        paris_proto::Msg::GstReport {
+            partition,
+            ref mins,
+            oldest_active,
+        } => {
+            // A tree child's stabilization aggregate: folded into the
+            // shared report table off the loop (no reply traffic). The
+            // parent's next ∆G tick reads the fold.
+            views[&sid].serve_gst_report(partition, mins, oldest_active);
+        }
+        paris_proto::Msg::GossipDigest {
+            ref reports,
+            ref roots,
+            ust,
+            frames,
+        } => {
+            // A whole coalesced gossip digest: every component folds into
+            // shared tables (child reports, DC roots) or the lock-free
+            // frontier, so the digest never queues behind commits on the
+            // server loop.
+            views[&sid].serve_gossip_digest(reports, roots, ust, frames);
+        }
+        // Only read-path messages are diverted here; anything else is
+        // handed to the owning server untouched.
+        _ => punt(),
+    }
 }
 
 /// The write lane a tapped envelope belongs on: keyed by the **source**

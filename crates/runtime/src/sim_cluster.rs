@@ -17,7 +17,7 @@ use paris_core::{
 };
 use paris_net::batch::{Coalescer, Offer};
 use paris_net::sim::{EventQueue, RegionMatrix, ServiceModel, SimNetwork};
-use paris_proto::{Endpoint, Envelope};
+use paris_proto::{Endpoint, Envelope, PoolPath};
 use paris_types::{
     ClientId, ClusterConfig, DcId, Error, FaultKind, FaultPlan, Key, Mode, ServerId, Timestamp,
     TxId, Value,
@@ -625,7 +625,7 @@ impl SimCluster {
                 } else {
                     0
                 };
-                if !slot.write_lanes.is_empty() && crate::driver::is_write_path(&env) {
+                if !slot.write_lanes.is_empty() && env.pool_path() == Some(PoolPath::Write) {
                     // Multi-lane write service model (PaRiS only): the
                     // write-path message occupies the lane its source
                     // hashes to — the deterministic counterpart of the

@@ -57,7 +57,7 @@ use paris_net::socket::framing::{
     deadline_in, read_ctrl_deadline, read_preamble, write_ctrl, write_preamble,
 };
 use paris_net::socket::{NodeIdentity, SocketConfig, SocketHandle, SocketNode};
-use paris_proto::{Ctrl, Endpoint, Envelope, ServerSnapshot, SnapshotCounters};
+use paris_proto::{Ctrl, Endpoint, Envelope, PoolPath, ServerSnapshot, SnapshotCounters};
 use paris_types::{
     BatchConfig, ClientId, ClusterConfig, DcId, Error, FlushPolicy, Intervals, Key, Mode, ServerId,
     Timestamp, Value, VersionOrd, WireFormat,
@@ -545,16 +545,9 @@ fn run_child(spec: ChildSpec) -> Result<(), Error> {
             loop {
                 match inbox.recv_timeout(Duration::from_millis(100)) {
                     Ok(env) => {
-                        let read_tapped = !lanes.is_empty()
-                            && matches!(
-                                env.msg,
-                                paris_proto::Msg::ReadSliceReq { .. }
-                                    | paris_proto::Msg::StartTxReq { .. }
-                                    | paris_proto::Msg::GstReport { .. }
-                                    | paris_proto::Msg::GossipDigest { .. }
-                            );
-                        let write_tapped =
-                            !write_lanes.is_empty() && crate::driver::is_write_path(&env);
+                        let path = env.pool_path();
+                        let read_tapped = !lanes.is_empty() && path == Some(PoolPath::Read);
+                        let write_tapped = !write_lanes.is_empty() && path == Some(PoolPath::Write);
                         let delivered = if read_tapped {
                             rr = (rr + 1) % lanes.len();
                             lanes[rr].send(env).is_ok()

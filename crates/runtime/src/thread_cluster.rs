@@ -54,9 +54,10 @@ pub(crate) struct ThreadClusterConfig {
     pub(crate) workload: WorkloadConfig,
     pub(crate) seed: u64,
     pub(crate) record_history: bool,
-    /// Read-pool size: `> 0` (PaRiS only) diverts `ReadSliceReq`s,
-    /// `StartTxReq`s and unbatched `GstReport`s to a pool serving
-    /// through [`ReadView`]s, off the server loop.
+    /// Read-pool size: `> 0` (PaRiS only) serves read-path traffic
+    /// ([`paris_proto::PoolPath::Read`]) through [`ReadView`]s, off the
+    /// server loop: on the sending thread when the router delivers it
+    /// inline and no read occupancy is modelled, on the pool otherwise.
     pub(crate) read_threads: usize,
     /// Modeled per-slice-read service occupancy (µs wall clock).
     pub(crate) read_service_micros: u64,
@@ -185,8 +186,24 @@ impl ThreadCluster {
         // slice reads and Alg. 2 snapshot assignments through the shared
         // views — never touching the server mutexes. Only meaningful
         // under PaRiS (the builder rejects BPR + read_threads).
+        //
+        // With no modelled read occupancy, the router also gets an inline
+        // read server: a read-path envelope it delivers inline (intra-DC)
+        // is served by the same `serve_read` on the sending thread, so it
+        // crosses no thread at all, and the pool serves what the wheel
+        // delivers. A modelled occupancy is meant to occupy a pool thread,
+        // so then the pool serves every read.
         let mut read_pool = Vec::new();
         if config.read_threads > 0 && config.cluster.mode == Mode::Paris {
+            if config.read_service_micros == 0 {
+                let views = views.clone();
+                let servers = servers.clone();
+                let net = router.handle();
+                let clock = Arc::clone(&clock);
+                router.set_read_server(move |env| {
+                    crate::driver::serve_read(env, &views, &servers, &|e| net.send(e), &clock, 0)
+                });
+            }
             let mut lanes = Vec::with_capacity(config.read_threads);
             for i in 0..config.read_threads {
                 let (lane_tx, lane_rx) = std::sync::mpsc::channel::<Envelope>();

@@ -91,12 +91,20 @@ impl Tuning {
 
     /// Size of the read-thread pool: with `n > 0` (PaRiS only — BPR reads
     /// must block on the server loop), incoming `ReadSliceReq` slice
-    /// reads, `StartTxReq` snapshot assignments *and* unbatched
-    /// `GstReport` stabilization folds — all read-only against published
-    /// state — are served by `n` pool threads through the server's
+    /// reads, `StartTxReq` snapshot assignments, read-only `CommitReq`s
+    /// *and* unbatched `GstReport` stabilization folds — all read-only
+    /// against published state — are served through the server's
     /// published `ReadView` instead of the server mailbox, so they never
     /// queue behind commits, replication batches or gossip ticks — the
     /// paper's parallel non-blocking reads (§I, Alg. 2–4).
+    ///
+    /// On the threaded backend, the `n` pool threads serve what the delay
+    /// wheel delivers (cross-DC reads, coalesced gossip); an intra-DC
+    /// request the router delivers inline is served on the sending thread
+    /// itself, through the same view, so it crosses no thread. With a
+    /// modelled [`read_service_micros`](Self::read_service_micros) the
+    /// pool serves every read, since the occupancy is meant to hold a pool
+    /// thread. The socket backend's pool serves all of them.
     ///
     /// `0` serves everything on the server loop. Left unset, the threaded
     /// backend derives a pool from the host's
@@ -182,8 +190,10 @@ impl Tuning {
     /// is what makes read-throughput scaling with
     /// [`read_threads`](Self::read_threads) measurable on small machines:
     /// occupancy overlaps across pool threads exactly like storage/CPU
-    /// time does on the paper's multi-core servers. `0` (the default)
-    /// serves at memory speed.
+    /// time does on the paper's multi-core servers. A non-zero value
+    /// therefore keeps every read on the pool, where `0` (the default)
+    /// lets the pool serve only wheel-delivered reads while inline
+    /// deliveries are served on the sending thread, at memory speed.
     #[must_use]
     pub fn read_service_micros(mut self, micros: u64) -> Self {
         self.read_service_micros = micros;

@@ -524,6 +524,78 @@ fn thread_backend_at_zero_wan_latency_stays_consistent() {
 }
 
 #[test]
+fn thread_backend_serves_read_only_txs_on_the_sender_without_pinning_gc() {
+    // The benchmark's shape again, with a read-only mix: every intra-DC
+    // start, slice read and read-only commit is served on the sending
+    // thread through the destination's read view.
+    let mut cluster = Paris::builder()
+        .dcs(3)
+        .partitions(6)
+        .replication(2)
+        .keys_per_partition(100)
+        .clients_per_dc(2)
+        .uniform_latency_micros(0)
+        .jitter(0.0)
+        .workload(paris::workload::WorkloadConfig {
+            writes_per_tx: 0,
+            keys_per_partition: 100,
+            ..paris::workload::WorkloadConfig::read_heavy()
+        })
+        .record_history(true)
+        .seed(37)
+        .build_thread()
+        .unwrap();
+    let writer = cluster.open_client(0).unwrap();
+    let mut txn = cluster.begin(writer).unwrap();
+    for k in 0..60 {
+        txn.write(Key(k), Value::from("v"));
+    }
+    txn.commit().unwrap();
+    cluster.stabilize(5);
+
+    let report = cluster.run_workload(50_000, 500_000).unwrap();
+    assert!(report.stats.committed > 0, "no progress");
+    assert!(report.violations.is_empty(), "{:#?}", report.violations);
+    let convergence = cluster.check_convergence().unwrap();
+    assert!(convergence.is_empty(), "{convergence:#?}");
+
+    // Interactive read-only transactions in every DC.
+    let mut newest = paris::types::Timestamp::ZERO;
+    for dc in 0..3 {
+        let client = cluster.open_client(dc).unwrap();
+        for i in 0..3u64 {
+            let mut txn = cluster.begin(client).unwrap();
+            let snapshot = txn.snapshot();
+            let read = txn.read(&[Key(i), Key(100 + i), Key(300 + i)]).unwrap();
+            assert_eq!(read.len(), 3);
+            assert_eq!(txn.commit().unwrap(), paris::types::Timestamp::ZERO);
+            newest = newest.max(snapshot);
+        }
+    }
+    let servers = cluster.topology().all_servers();
+    let off_loop: u64 = servers
+        .iter()
+        .map(|id| cluster.read_view(*id).unwrap().stats().read_only_commits())
+        .sum();
+    assert!(
+        off_loop > 9,
+        "read-only commits were not served off the loop"
+    );
+
+    // A committed read-only transaction releases its snapshot: the UST
+    // and every server's GC horizon move past all of them.
+    cluster.stabilize(10);
+    assert!(cluster.min_ust() > newest, "UST stuck at {newest}");
+    for id in servers {
+        let s_old = cluster.read_view(id).unwrap().s_old();
+        assert!(
+            s_old > newest,
+            "{id}: S_old {s_old} pinned at or below {newest}"
+        );
+    }
+}
+
+#[test]
 fn builder_rejects_read_pool_with_bpr() {
     let err = match Paris::builder()
         .mode(Mode::Bpr)
